@@ -1,9 +1,10 @@
 //! ABFT checksum-protected SummaGen with panel-boundary checkpointing.
 //!
-//! This is the panelled variant of [`crate::panelled`] hardened against
-//! *silent data corruption* with Huang–Abraham algorithm-based fault
-//! tolerance, plus checkpoint/restart so recovery does not recompute the
-//! whole product:
+//! This is the checksummed codec of the one panel loop in
+//! [`crate::panelled`]: the same gathers, subgroup labels and block
+//! traffic as [`crate::multiply_panelled`], hardened against *silent data
+//! corruption* with Huang–Abraham algorithm-based fault tolerance, plus
+//! checkpoint/restart so recovery does not recompute the whole product:
 //!
 //! * **Wire protection** — every broadcast panel travels *fully
 //!   checksummed* (an extra row of column sums and an extra column of row
@@ -22,7 +23,8 @@
 //!   returns [`CommError::DataCorruption`], which
 //!   [`RankFailure::crashed_ranks`] treats as an own-cause crash, so
 //!   [`multiply_abft`] drops the device and re-partitions over the
-//!   survivors exactly like [`crate::multiply_with_recovery`].
+//!   survivors in the same shrink-and-retry loop as
+//!   [`crate::multiply_with_recovery`].
 //! * **Checkpointing** — every `checkpoint_interval` completed (and
 //!   verified) panel steps, ranks snapshot their `C` data blocks into a
 //!   host-side store. A checkpoint is valid once *all* ranks have written
@@ -37,7 +39,7 @@
 //! [`crate::multiply_panelled`]: augmentation appends checksum rows and
 //! columns without touching the data region, and the widened GEMM
 //! accumulates each data element in exactly the same k-order as the
-//! unprotected kernel.
+//! plain codec's GEMM.
 //!
 //! Verification, correction, checkpoint, and rollback work is charged to
 //! the virtual clock (per-element costs in [`AbftOptions`]) and emitted as
@@ -46,11 +48,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use summagen_comm::{
-    AbftLabel, CommError, Communicator, CostModel, EventSink, FaultPlan, Payload, RankFailure,
-    SpanKind, Universe,
+    AbftLabel, CommError, CommResult, Communicator, CostModel, EventSink, FaultPlan, SpanKind,
 };
 use summagen_matrix::{
     abft_tolerance, augment_a, augment_b, verify_and_correct, AbftVerdict, DenseMatrix, GemmKernel,
@@ -58,10 +58,11 @@ use summagen_matrix::{
 use summagen_partition::{PartitionSpec, ProcBlock, Shape};
 
 use crate::executor::{
-    cause_counts, survivor_spec, ExecutionMode, RecoveryError, RecoveryOptions, RecoveryReport,
-    RunResult,
+    run_attempt, shrink_and_retry, survivor_spec, ExecutionMode, RankBlocks, RecoveryError,
+    RecoveryOptions, RunResult,
 };
-use crate::rankdata::{distribute, RankMatrices};
+use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload, PanelStats};
+use crate::rankdata::RankMatrices;
 
 /// Knobs for the checksum-protected executor.
 #[derive(Debug, Clone)]
@@ -158,16 +159,6 @@ pub struct AbftRunResult {
     pub abft: AbftReport,
 }
 
-/// Per-rank ABFT counters, aggregated by the driver.
-#[derive(Debug, Clone, Copy, Default)]
-struct AbftStats {
-    detected: u64,
-    corrected: u64,
-    first_panel: u64,
-    panels_executed: u64,
-    checkpoints_written: u64,
-}
-
 /// Host-side checkpoint store shared by the ranks of one attempt.
 ///
 /// Ranks deposit their verified `C` data blocks at panel boundaries; once
@@ -181,19 +172,16 @@ struct AbftStats {
 /// [`AbftOptions::checkpoint_budget_bytes`] the oldest boundaries are
 /// evicted. The newest boundary is never evicted — it is what a resumed
 /// attempt rolls back to.
-struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     nprocs: usize,
     n: usize,
     budget_bytes: usize,
     inner: Mutex<StoreInner>,
 }
 
-/// One rank's deposit at a boundary: its local `C` blocks with placement.
-type RankDeposit = Vec<(ProcBlock, DenseMatrix)>;
-
 #[derive(Default)]
 struct StoreInner {
-    pending: BTreeMap<usize, Vec<Option<RankDeposit>>>,
+    pending: BTreeMap<usize, Vec<Option<RankBlocks>>>,
     completed: Vec<(usize, DenseMatrix)>,
     /// Distinct boundaries assembled over the store's lifetime — the
     /// capture set survives eviction.
@@ -207,7 +195,7 @@ fn matrix_bytes(m: &DenseMatrix) -> usize {
     m.rows() * m.cols() * std::mem::size_of::<f64>()
 }
 
-fn deposit_bytes(d: &RankDeposit) -> usize {
+fn deposit_bytes(d: &RankBlocks) -> usize {
     d.iter().map(|(_, m)| matrix_bytes(m)).sum()
 }
 
@@ -236,7 +224,7 @@ fn evict_to_budget(completed: &mut Vec<(usize, DenseMatrix)>, budget: usize) -> 
 }
 
 impl CheckpointStore {
-    fn new(nprocs: usize, n: usize, budget_bytes: usize) -> Self {
+    pub(crate) fn new(nprocs: usize, n: usize, budget_bytes: usize) -> Self {
         Self {
             nprocs,
             n,
@@ -245,7 +233,7 @@ impl CheckpointStore {
         }
     }
 
-    fn write(&self, k_prefix: usize, rank: usize, blocks: RankDeposit) {
+    fn write(&self, k_prefix: usize, rank: usize, blocks: RankBlocks) {
         let mut inner = self.inner.lock().unwrap();
         let nprocs = self.nprocs;
         let complete = {
@@ -311,14 +299,14 @@ impl CheckpointStore {
 /// Wire encoding of an `A` panel slice: checksum row (column sums, kept
 /// for the product encoding) plus a transit checksum column (row sums,
 /// stripped after verification).
-fn transit_a(slice: &DenseMatrix) -> DenseMatrix {
+pub(crate) fn transit_a(slice: &DenseMatrix) -> DenseMatrix {
     augment_b(&augment_a(slice))
 }
 
 /// Wire encoding of a `B` panel slice: checksum column (row sums, kept
 /// for the product encoding) plus a transit checksum row (column sums,
 /// stripped after verification).
-fn transit_b(slice: &DenseMatrix) -> DenseMatrix {
+pub(crate) fn transit_b(slice: &DenseMatrix) -> DenseMatrix {
     augment_a(&augment_b(slice))
 }
 
@@ -355,12 +343,12 @@ fn refresh_checksums(c: &mut DenseMatrix) {
 
 /// Verifies (and if possible corrects) one received transit panel,
 /// charging the scan to the virtual clock and emitting Abft spans.
-fn verify_received(
+pub(crate) fn verify_received(
     comm: &Communicator,
     m: &mut DenseMatrix,
     step: usize,
     opts: &AbftOptions,
-    stats: &mut AbftStats,
+    stats: &mut PanelStats,
 ) -> Result<(), CommError> {
     let elems = (m.rows() * m.cols()) as u64;
     let start = comm.now();
@@ -410,422 +398,177 @@ fn verify_received(
     }
 }
 
-/// The per-rank protected panel loop. Mirrors
-/// [`crate::panelled::multiply_panelled`]'s gather structure (same
-/// subgroup labels, same block traffic) with checksummed payloads,
-/// per-step verification, and checkpoint writes. `resume_k` is the
-/// k-prefix already present in `resume_c`; panels fully covered by it are
-/// skipped and the first overlapping panel executes partially.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_abft(
+/// Refreshes the checksums of accumulators whose data regions were just
+/// restored from a `resume_k` prefix (the snapshot stores only verified
+/// data) and charges the rollback to the virtual clock.
+pub(crate) fn restore(
     comm: &Communicator,
     spec: &PartitionSpec,
-    rank: usize,
-    data: &RankMatrices,
-    kernel: GemmKernel,
-    opts: &AbftOptions,
+    acc: &mut [(ProcBlock, DenseMatrix)],
     resume_k: usize,
-    resume_c: Option<&DenseMatrix>,
-    stop_k: usize,
-    store: &CheckpointStore,
-) -> Result<(Vec<(ProcBlock, DenseMatrix)>, AbftStats), CommError> {
-    let mut stats = AbftStats::default();
-    let total_panels = spec.grid_cols;
-
-    // Augmented accumulators: data region plus a checksum row and column,
-    // maintained across panel accumulation by the Ã·B̃ encoding.
-    let mut out: Vec<(ProcBlock, DenseMatrix)> = spec
-        .blocks_of(rank)
-        .into_iter()
-        .map(|blk| {
-            let mut m = DenseMatrix::zeros(blk.rows + 1, blk.cols + 1);
-            if let Some(c0) = resume_c {
-                m.set_submatrix(0, 0, &c0.submatrix(blk.row, blk.col, blk.rows, blk.cols));
-                refresh_checksums(&mut m);
-            }
-            (blk, m)
-        })
-        .collect();
-
-    if resume_k > 0 {
-        let elems: u64 = out.iter().map(|(b, _)| (b.rows * b.cols) as u64).sum();
-        let first = (0..total_panels)
-            .take_while(|&t| spec.col_offset(t) + spec.widths[t] <= resume_k)
-            .count();
-        let start = comm.now();
-        comm.advance_compute(opts.rollback_cost * elems as f64);
-        comm.emit(
-            start,
-            comm.now(),
-            SpanKind::Abft {
-                op: AbftLabel::Rollback,
-                step: first as u64,
-                elems,
-            },
-        );
-        if let Some(m) = comm.metrics() {
-            m.abft_rollbacks.inc();
-        }
+    opts: &AbftOptions,
+) {
+    for (_, c) in acc.iter_mut() {
+        refresh_checksums(c);
     }
-
-    for t in 0..total_panels {
-        let k0 = spec.col_offset(t);
-        let k1 = k0 + spec.widths[t];
-        if k0 >= stop_k {
-            break; // preemption horizon reached: a clean k-prefix stop
-        }
-        let lo = k0.max(resume_k);
-        if lo >= k1 {
-            continue; // panel fully covered by the restored checkpoint
-        }
-        if stats.panels_executed == 0 {
-            stats.first_panel = t as u64;
-        }
-        stats.panels_executed += 1;
-        if let Some(m) = comm.metrics() {
-            m.panel_steps.inc();
-        }
-        let kb = k1 - lo;
-
-        // --- Gather the A blocks (bi, t), column-sliced to [lo, k1).
-        let mut a_panel: Vec<Option<DenseMatrix>> = vec![None; spec.grid_rows];
-        for (bi, slot) in a_panel.iter_mut().enumerate() {
-            if !spec.row_contains(rank, bi) {
-                continue;
-            }
-            let participants: Vec<usize> = (0..spec.nprocs)
-                .filter(|&p| spec.row_contains(p, bi))
-                .collect();
-            let owner = spec.owner(bi, t);
-            let h = spec.heights[bi];
-            let own_slice = || {
-                data.a_block(bi, t)
-                    .expect("missing own A block")
-                    .submatrix(0, lo - k0, h, kb)
-            };
-            let transit = if participants.len() == 1 {
-                transit_a(&own_slice())
-            } else {
-                let mut row_comm = comm
-                    .subgroup(&participants, (1 << 22) + (t * spec.grid_rows + bi) as u64)
-                    .expect("missing from row communicator");
-                let root = participants.iter().position(|&p| p == owner).unwrap();
-                let payload = if owner == rank {
-                    Payload::F64(transit_a(&own_slice()).as_slice().to_vec())
-                } else {
-                    Payload::F64(Vec::new())
-                };
-                let raw = row_comm.try_bcast(root, payload)?.try_into_f64()?;
-                let mut m = DenseMatrix::from_vec(h + 1, kb + 1, raw);
-                if owner != rank {
-                    verify_received(comm, &mut m, t, opts, &mut stats)?;
-                }
-                m
-            };
-            // Keep the product encoding Ã (data + checksum row); the
-            // transit checksum column has done its job.
-            *slot = Some(transit.submatrix(0, 0, h + 1, kb));
-        }
-
-        // --- Gather the B rows [lo, k1), with the product checksum column.
-        let mut b_panel: Vec<Option<DenseMatrix>> = vec![None; spec.grid_cols];
-        for (bj, slot) in b_panel.iter_mut().enumerate() {
-            if !spec.col_contains(rank, bj) {
-                continue;
-            }
-            let w = spec.widths[bj];
-            let mut panel = DenseMatrix::zeros(kb, w + 1);
-            let participants: Vec<usize> = (0..spec.nprocs)
-                .filter(|&p| spec.col_contains(p, bj))
-                .collect();
-            for bi_b in 0..spec.grid_rows {
-                let r0 = spec.row_offset(bi_b);
-                let r1 = r0 + spec.heights[bi_b];
-                let (slo, shi) = (r0.max(lo), r1.min(k1));
-                if slo >= shi {
-                    continue; // block does not overlap this panel
-                }
-                let rows = shi - slo;
-                let owner = spec.owner(bi_b, bj);
-                let own_slice = || {
-                    data.b_block(bi_b, bj)
-                        .expect("missing own B block")
-                        .submatrix(slo - r0, 0, rows, w)
-                };
-                let transit = if participants.len() == 1 {
-                    transit_b(&own_slice())
-                } else {
-                    let label =
-                        (1 << 23) + ((t * spec.grid_rows + bi_b) * spec.grid_cols + bj) as u64;
-                    let mut col_comm = comm
-                        .subgroup(&participants, label)
-                        .expect("missing from column communicator");
-                    let root = participants.iter().position(|&p| p == owner).unwrap();
-                    let payload = if owner == rank {
-                        Payload::F64(transit_b(&own_slice()).as_slice().to_vec())
-                    } else {
-                        Payload::F64(Vec::new())
-                    };
-                    let raw = col_comm.try_bcast(root, payload)?.try_into_f64()?;
-                    let mut m = DenseMatrix::from_vec(rows + 1, w + 1, raw);
-                    if owner != rank {
-                        verify_received(comm, &mut m, t, opts, &mut stats)?;
-                    }
-                    m
-                };
-                // Strip the transit checksum row; rows keep their row-sum
-                // entries, so the assembled panel is B̃ directly.
-                panel.set_submatrix(slo - lo, 0, &transit.submatrix(0, 0, rows, w + 1));
-            }
-            *slot = Some(panel);
-        }
-
-        // --- Accumulate C̃(bi, bj) += Ã(bi, t) · B̃(t, bj). The widened
-        // dims do not perturb data elements: each c[i][j] with i,j in the
-        // data region sees exactly the unprotected kernel's k-order.
-        for (blk, cmat) in &mut out {
-            let ap = a_panel[blk.block_i]
-                .as_ref()
-                .expect("A panel block missing for owned row");
-            let bp = b_panel[blk.block_j]
-                .as_ref()
-                .expect("B panel block missing for owned column");
-            debug_assert_eq!(ap.cols(), bp.rows());
-            let (m, nc) = (blk.rows + 1, blk.cols + 1);
-            match kernel {
-                GemmKernel::Naive => summagen_matrix::gemm_naive(
-                    m,
-                    nc,
-                    kb,
-                    1.0,
-                    ap.as_slice(),
-                    kb.max(1),
-                    bp.as_slice(),
-                    nc,
-                    1.0,
-                    cmat.as_mut_slice(),
-                    nc,
-                ),
-                _ => summagen_matrix::gemm_blocked(
-                    m,
-                    nc,
-                    kb,
-                    1.0,
-                    ap.as_slice(),
-                    kb.max(1),
-                    bp.as_slice(),
-                    nc,
-                    1.0,
-                    cmat.as_mut_slice(),
-                    nc,
-                ),
-            }
-            if opts.gemm_cost > 0.0 {
-                comm.advance_compute(opts.gemm_cost * (m * nc * kb) as f64);
-            }
-        }
-
-        // --- Injected memory faults on the local accumulators ("a rank's
-        // local block between panel steps").
-        let corruptions = comm.block_corruptions(t as u64);
-        if !corruptions.is_empty() {
-            let total: u64 = out.iter().map(|(_, c)| c.as_slice().len() as u64).sum();
-            for (elem, delta) in corruptions {
-                if total == 0 {
-                    break;
-                }
-                let mut idx = elem % total;
-                for (_, c) in &mut out {
-                    let len = c.as_slice().len() as u64;
-                    if idx < len {
-                        c.as_mut_slice()[idx as usize] += delta;
-                        break;
-                    }
-                    idx -= len;
-                }
-            }
-        }
-
-        // --- Verify every owned accumulator at the panel boundary.
-        let c_elems: u64 = out.iter().map(|(_, c)| c.as_slice().len() as u64).sum();
-        let start = comm.now();
-        comm.advance_compute(opts.verify_cost * c_elems as f64);
-        let mut corrections = 0u64;
-        let mut uncorrectable = false;
-        for (_, cmat) in &mut out {
-            let tol = abft_tolerance(cmat.rows().max(cmat.cols()), data_scale(cmat));
-            match verify_and_correct(cmat, tol) {
-                AbftVerdict::Clean => {}
-                AbftVerdict::Corrected { .. } => {
-                    stats.detected += 1;
-                    stats.corrected += 1;
-                    corrections += 1;
-                }
-                AbftVerdict::Uncorrectable { .. } => {
-                    stats.detected += 1;
-                    uncorrectable = true;
-                }
-            }
-        }
-        comm.emit(
-            start,
-            comm.now(),
-            SpanKind::Abft {
-                op: AbftLabel::Verify,
-                step: t as u64,
-                elems: c_elems,
-            },
-        );
-        if let Some(m) = comm.metrics() {
-            m.abft_verifies.inc();
-            m.abft_corrections.add(corrections);
-        }
-        if corrections > 0 {
-            let cs = comm.now();
-            comm.advance_compute(opts.verify_cost * corrections as f64);
-            comm.emit(
-                cs,
-                comm.now(),
-                SpanKind::Abft {
-                    op: AbftLabel::Correct,
-                    step: t as u64,
-                    elems: corrections,
-                },
-            );
-        }
-        if uncorrectable {
-            return Err(CommError::DataCorruption {
-                rank: comm.global_rank(),
-                step: t as u64,
-            });
-        }
-
-        // --- Checkpoint the verified data blocks at the boundary.
-        if opts.checkpoint_interval > 0
-            && opts.checkpoint_interval != usize::MAX
-            && (t + 1) % opts.checkpoint_interval == 0
-            && t + 1 < total_panels
-        {
-            let data_elems: u64 = out.iter().map(|(b, _)| (b.rows * b.cols) as u64).sum();
-            let start = comm.now();
-            comm.advance_compute(opts.checkpoint_cost * data_elems as f64);
-            let blocks: Vec<(ProcBlock, DenseMatrix)> = out
-                .iter()
-                .map(|(b, c)| (*b, c.submatrix(0, 0, b.rows, b.cols)))
-                .collect();
-            store.write(k1, rank, blocks);
-            comm.emit(
-                start,
-                comm.now(),
-                SpanKind::Abft {
-                    op: AbftLabel::Checkpoint,
-                    step: t as u64,
-                    elems: data_elems,
-                },
-            );
-            if let Some(m) = comm.metrics() {
-                m.abft_checkpoints.inc();
-                m.checkpoint_bytes.set(store.bytes() as f64);
-            }
-            stats.checkpoints_written += 1;
-        }
+    let elems: u64 = acc.iter().map(|(b, _)| (b.rows * b.cols) as u64).sum();
+    let first = (0..spec.grid_cols)
+        .take_while(|&t| spec.col_offset(t) + spec.widths[t] <= resume_k)
+        .count();
+    let start = comm.now();
+    comm.advance_compute(opts.rollback_cost * elems as f64);
+    comm.emit(
+        start,
+        comm.now(),
+        SpanKind::Abft {
+            op: AbftLabel::Rollback,
+            step: first as u64,
+            elems,
+        },
+    );
+    if let Some(m) = comm.metrics() {
+        m.abft_rollbacks.inc();
     }
-
-    // Strip the checksums; the data region is returned bit-for-bit.
-    let blocks = out
-        .into_iter()
-        .map(|(b, c)| {
-            let d = c.submatrix(0, 0, b.rows, b.cols);
-            (b, d)
-        })
-        .collect();
-    Ok((blocks, stats))
 }
 
-/// One fallible protected attempt over a fixed partition.
-#[allow(clippy::too_many_arguments)]
-fn try_run_abft(
+/// Closes panel `t` of the checksummed codec: applies any injected memory
+/// faults to the local accumulators ("a rank's local block between panel
+/// steps"), verifies and corrects every accumulator, escalates
+/// uncorrectable damage as [`CommError::DataCorruption`], and writes a
+/// checkpoint of the verified data blocks when the interval says so.
+pub(crate) fn close_panel(
+    comm: &Communicator,
     spec: &PartitionSpec,
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    kernel: GemmKernel,
-    cost: impl CostModel,
-    faults: Option<FaultPlan>,
-    link: Option<summagen_comm::LinkPlan>,
-    heartbeat: Option<summagen_comm::HeartbeatConfig>,
-    recv_timeout: Duration,
-    sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
-    backend: summagen_comm::Backend,
+    acc: &mut [(ProcBlock, DenseMatrix)],
+    t: usize,
     opts: &AbftOptions,
-    resume: Option<(usize, Arc<DenseMatrix>)>,
-    stop_k: usize,
     store: &CheckpointStore,
-) -> Result<(RunResult, Vec<AbftStats>), RankFailure> {
-    let rank_data = distribute(spec, a, b);
-    let mut universe = Universe::new(spec.nprocs, cost)
-        .recv_timeout(recv_timeout)
-        .with_backend(backend);
-    if let Some(plan) = faults {
-        universe = universe.with_faults(plan);
+    stats: &mut PanelStats,
+) -> Result<(), CommError> {
+    // --- Injected memory faults on the local accumulators.
+    let corruptions = comm.block_corruptions(t as u64);
+    if !corruptions.is_empty() {
+        let total: u64 = acc.iter().map(|(_, c)| c.as_slice().len() as u64).sum();
+        for (elem, delta) in corruptions {
+            if total == 0 {
+                break;
+            }
+            let mut idx = elem % total;
+            for (_, c) in acc.iter_mut() {
+                let len = c.as_slice().len() as u64;
+                if idx < len {
+                    c.as_mut_slice()[idx as usize] += delta;
+                    break;
+                }
+                idx -= len;
+            }
+        }
     }
-    if let Some(plan) = link {
-        universe = universe.with_link_plan(plan);
-    }
-    if let Some(hb) = heartbeat {
-        universe = universe.with_heartbeat(hb);
-    }
-    if let Some(sink) = sink {
-        universe = universe.with_event_sink(sink);
-    }
-    if let Some(metrics) = metrics {
-        universe = universe.with_metrics(metrics);
-    }
-    let resume_k = resume.as_ref().map_or(0, |(k, _)| *k);
-    let resume_c = resume.map(|(_, c)| c);
-    let results = universe.try_run(|comm| {
-        let rank = comm.rank();
-        let (blocks, stats) = run_rank_abft(
-            &comm,
-            spec,
-            rank,
-            &rank_data[rank],
-            kernel,
-            opts,
-            resume_k,
-            resume_c.as_deref(),
-            stop_k,
-            store,
-        )?;
-        Ok((blocks, stats, comm.clock_snapshot(), comm.traffic()))
-    })?;
 
-    let mut blocks = Vec::with_capacity(spec.nprocs);
-    let mut stats = Vec::with_capacity(spec.nprocs);
-    let mut clocks = Vec::with_capacity(spec.nprocs);
-    let mut traffic = Vec::with_capacity(spec.nprocs);
-    for (b, s, c, t) in results {
-        blocks.push(b);
-        stats.push(s);
-        clocks.push(c);
-        traffic.push(t);
+    // --- Verify every owned accumulator at the panel boundary.
+    let c_elems: u64 = acc.iter().map(|(_, c)| c.as_slice().len() as u64).sum();
+    let start = comm.now();
+    comm.advance_compute(opts.verify_cost * c_elems as f64);
+    let mut corrections = 0u64;
+    let mut uncorrectable = false;
+    for (_, cmat) in acc.iter_mut() {
+        let tol = abft_tolerance(cmat.rows().max(cmat.cols()), data_scale(cmat));
+        match verify_and_correct(cmat, tol) {
+            AbftVerdict::Clean => {}
+            AbftVerdict::Corrected { .. } => {
+                stats.detected += 1;
+                stats.corrected += 1;
+                corrections += 1;
+            }
+            AbftVerdict::Uncorrectable { .. } => {
+                stats.detected += 1;
+                uncorrectable = true;
+            }
+        }
     }
-    let c = crate::rankdata::assemble(spec, &blocks);
-    let exec_time = clocks.iter().map(|c| c.now).fold(0.0, f64::max);
-    let comp_time = clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max);
-    let comm_time = clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max);
-    Ok((
-        RunResult {
-            c,
-            clocks,
-            traffic,
-            exec_time,
-            comp_time,
-            comm_time,
-            recovery: None,
+    comm.emit(
+        start,
+        comm.now(),
+        SpanKind::Abft {
+            op: AbftLabel::Verify,
+            step: t as u64,
+            elems: c_elems,
         },
-        stats,
-    ))
+    );
+    if let Some(m) = comm.metrics() {
+        m.abft_verifies.inc();
+        m.abft_corrections.add(corrections);
+    }
+    if corrections > 0 {
+        let cs = comm.now();
+        comm.advance_compute(opts.verify_cost * corrections as f64);
+        comm.emit(
+            cs,
+            comm.now(),
+            SpanKind::Abft {
+                op: AbftLabel::Correct,
+                step: t as u64,
+                elems: corrections,
+            },
+        );
+    }
+    if uncorrectable {
+        return Err(CommError::DataCorruption {
+            rank: comm.global_rank(),
+            step: t as u64,
+        });
+    }
+
+    // --- Checkpoint the verified data blocks at the boundary (never the
+    // final one: the result is about to be returned anyway).
+    if opts.checkpoint_interval > 0
+        && opts.checkpoint_interval != usize::MAX
+        && (t + 1).is_multiple_of(opts.checkpoint_interval)
+        && t + 1 < spec.grid_cols
+    {
+        let data_elems: u64 = acc.iter().map(|(b, _)| (b.rows * b.cols) as u64).sum();
+        let start = comm.now();
+        comm.advance_compute(opts.checkpoint_cost * data_elems as f64);
+        let blocks: RankBlocks = acc
+            .iter()
+            .map(|(b, c)| (*b, c.submatrix(0, 0, b.rows, b.cols)))
+            .collect();
+        store.write(spec.col_offset(t) + spec.widths[t], comm.rank(), blocks);
+        comm.emit(
+            start,
+            comm.now(),
+            SpanKind::Abft {
+                op: AbftLabel::Checkpoint,
+                step: t as u64,
+                elems: data_elems,
+            },
+        );
+        if let Some(m) = comm.metrics() {
+            m.abft_checkpoints.inc();
+            m.checkpoint_bytes.set(store.bytes() as f64);
+        }
+    }
+    Ok(())
+}
+
+/// One rank of a checksummed attempt over `spec`: the panel loop with the
+/// checksummed codec from `resume` up to `stop_k`, checkpointing into
+/// `store` and charging `gemm_cost` per multiply-add of the widened GEMM.
+fn checksummed_rank<'a>(
+    abft: &'a AbftOptions,
+    spec: &'a PartitionSpec,
+    kernel: GemmKernel,
+    store: &'a CheckpointStore,
+    resume: Option<&'a PanelCheckpoint>,
+    stop_k: usize,
+) -> impl Fn(&Communicator, &RankMatrices) -> CommResult<(RankBlocks, PanelStats)> + Sync + 'a {
+    move |comm, data| {
+        let payload = PanelPayload::Real { data, kernel };
+        let codec = PanelCodec::Checksummed { opts: abft, store };
+        let gemm_cost =
+            |blk: &ProcBlock, kb| abft.gemm_cost * ((blk.rows + 1) * (blk.cols + 1) * kb) as f64;
+        run_rank_panels(comm, spec, payload, &codec, gemm_cost, resume, stop_k)
+    }
 }
 
 /// Multiplies `A × B` with the checksum-protected, checkpointed SummaGen
@@ -950,153 +693,85 @@ fn multiply_abft_inner(
     sink: Option<Arc<dyn EventSink>>,
     metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
 ) -> Result<AbftRunResult, RecoveryError> {
-    assert!(!rel_speeds.is_empty(), "need at least one device");
-    assert!(opts.max_attempts > 0, "need at least one attempt");
     assert_eq!(a.rows(), b.rows(), "A and B must share dimension n");
+    let n = a.rows();
+    let kernel = mode.kernel();
     // The explicit bundle wins; otherwise any bundle carried by the
     // recovery options (the path `reproduce soak` uses) is installed.
-    let metrics = metrics.or_else(|| opts.metrics.clone());
-    let n = a.rows();
+    let opts = RecoveryOptions {
+        metrics: metrics.or_else(|| opts.metrics.clone()),
+        ..opts.clone()
+    };
 
-    let mut devices: Vec<usize> = (0..rel_speeds.len()).collect();
-    let mut failed_devices: Vec<usize> = Vec::new();
-    let mut causes: BTreeMap<String, usize> = BTreeMap::new();
     let mut completed: Vec<(usize, DenseMatrix)> = Vec::new();
     let mut captured_boundaries: BTreeSet<usize> = BTreeSet::new();
     let mut checkpoints_evicted = 0usize;
-    let mut uncorrectable = 0u64;
-    let mut announced_failures = 0usize;
-    let mut detected_failures = 0usize;
-    let mut max_detection_latency = 0.0f64;
-    let mut attempt = 0;
-    loop {
-        attempt += 1;
-        let speeds: Vec<f64> = devices.iter().map(|&d| rel_speeds[d]).collect();
-        let spec = survivor_spec(shape, n, &speeds);
-        let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
-        let resume = completed.last().map(|(k, c)| (*k, Arc::new(c.clone())));
-        let resume_k = resume.as_ref().map_or(0, |(k, _)| *k);
-        let faults = attempt_faults
-            .get(attempt - 1)
-            .filter(|p| !p.is_empty())
-            .cloned();
-        let outcome = try_run_abft(
-            &spec,
-            a,
-            b,
-            mode.kernel(),
-            cost.clone(),
-            faults,
-            opts.link_plan.clone(),
-            opts.heartbeat,
-            opts.recv_timeout,
-            sink.clone(),
-            metrics.clone(),
-            opts.backend,
-            abft,
-            resume,
-            usize::MAX,
-            &store,
-        );
-        // Harvest complete checkpoints whether the attempt lived or died:
-        // snapshots written before a crash are exactly what the next
-        // attempt resumes from. The harvested set is held to the same
-        // byte budget as the in-attempt store — oldest boundaries go
-        // first, the newest (the resume point) is never dropped.
-        captured_boundaries.extend(store.captured_boundaries());
-        checkpoints_evicted += store.evicted();
-        for (k, c) in store.take_completed() {
-            if !completed.iter().any(|(ck, _)| *ck == k) {
-                completed.push((k, c));
-            }
-        }
-        completed.sort_by_key(|(k, _)| *k);
-        checkpoints_evicted += evict_to_budget(&mut completed, abft.checkpoint_budget_bytes);
-        if let Some(m) = &metrics {
-            m.checkpoint_bytes.set(
-                completed
-                    .iter()
-                    .map(|(_, c)| matrix_bytes(c))
-                    .sum::<usize>() as f64,
-            );
-        }
-        match outcome {
-            Ok((mut run, stats)) => {
-                let backoff_time = (attempt - 1) as f64 * opts.retry_backoff;
-                run.exec_time += backoff_time;
-                let recompute_fraction = (n - resume_k) as f64 / n.max(1) as f64;
-                if attempt > 1 {
-                    let area = (n * n) as f64;
-                    run.recovery = Some(RecoveryReport {
-                        attempts: attempt,
-                        failed_devices: failed_devices.clone(),
-                        surviving_devices: devices.clone(),
-                        final_loads: spec.areas().iter().map(|&a| a as f64 / area).collect(),
-                        backoff_time,
-                        failure_causes: cause_counts(&causes),
-                        recompute_fraction,
-                        announced_failures,
-                        detected_failures,
-                        max_detection_latency,
-                    });
-                }
-                let report = AbftReport {
-                    attempts: attempt,
-                    detected: stats.iter().map(|s| s.detected).sum::<u64>() + uncorrectable,
-                    corrected: stats.iter().map(|s| s.corrected).sum(),
-                    uncorrectable,
-                    checkpoints: captured_boundaries.len(),
-                    checkpoints_evicted,
-                    resume_step: stats.iter().map(|s| s.first_panel).max().unwrap_or(0) as usize,
-                    resume_k,
-                    panels_total: spec.grid_cols,
-                    panels_executed: stats.iter().map(|s| s.panels_executed).max().unwrap_or(0)
-                        as usize,
-                    recompute_fraction,
-                };
-                return Ok(AbftRunResult { run, abft: report });
-            }
-            Err(failure) => {
-                for fr in &failure.failed {
-                    let label = fr.cause.kind_label();
-                    *causes.entry(label.to_string()).or_default() += 1;
-                    if label == "data-corruption" {
-                        uncorrectable += 1;
-                    }
-                    if let summagen_comm::FailureCause::DetectedHang {
-                        detection_latency, ..
-                    } = &fr.cause
-                    {
-                        detected_failures += 1;
-                        max_detection_latency = max_detection_latency.max(*detection_latency);
-                    } else {
-                        announced_failures += 1;
-                    }
-                }
-                if attempt >= opts.max_attempts {
-                    return Err(RecoveryError::AttemptsExhausted {
-                        attempts: attempt,
-                        last: failure,
-                    });
-                }
-                let mut roots = failure.crashed_ranks();
-                if roots.is_empty() {
-                    // A peer behind an exhausted link fails identically on
-                    // replay — shrink it out (see `multiply_with_recovery`).
-                    roots = failure.unreachable_peers();
-                }
-                if roots.is_empty() {
-                    continue; // pure timeout: retry the same device set
-                }
-                let mut dropped: Vec<usize> = roots.iter().map(|&r| devices[r]).collect();
-                devices.retain(|d| !dropped.contains(d));
-                failed_devices.append(&mut dropped);
-                if devices.is_empty() {
-                    return Err(RecoveryError::AllDevicesFailed { attempts: attempt });
+    let (mut run, (stats, resume_k, panels_total)) = shrink_and_retry(
+        shape,
+        rel_speeds,
+        n,
+        attempt_faults,
+        &opts,
+        |spec, faults| {
+            let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
+            let resume = completed.last().map(|(k, c)| PanelCheckpoint {
+                k: *k,
+                c: c.clone(),
+            });
+            let body = checksummed_rank(abft, spec, kernel, &store, resume.as_ref(), usize::MAX);
+            let outcome = run_attempt(spec, a, b, cost.clone(), &opts, faults, sink.clone(), body);
+            // Harvest complete checkpoints whether the attempt lived or died:
+            // snapshots written before a crash are exactly what the next
+            // attempt resumes from. The harvested set is held to the same
+            // byte budget as the in-attempt store — oldest boundaries go
+            // first, the newest (the resume point) is never dropped.
+            captured_boundaries.extend(store.captured_boundaries());
+            checkpoints_evicted += store.evicted();
+            for (k, c) in store.take_completed() {
+                if !completed.iter().any(|(ck, _)| *ck == k) {
+                    completed.push((k, c));
                 }
             }
-        }
+            completed.sort_by_key(|(k, _)| *k);
+            checkpoints_evicted += evict_to_budget(&mut completed, abft.checkpoint_budget_bytes);
+            if let Some(m) = &opts.metrics {
+                m.checkpoint_bytes.set(
+                    completed
+                        .iter()
+                        .map(|(_, c)| matrix_bytes(c))
+                        .sum::<usize>() as f64,
+                );
+            }
+            let resume_k = resume.map_or(0, |r| r.k);
+            outcome.map(|(run, stats)| (run, (stats, resume_k, spec.grid_cols)))
+        },
+    )?;
+
+    let recompute_fraction = (n - resume_k) as f64 / n.max(1) as f64;
+    let (mut attempts, mut uncorrectable) = (1, 0);
+    if let Some(rec) = run.recovery.as_mut() {
+        rec.recompute_fraction = recompute_fraction;
+        attempts = rec.attempts;
+        uncorrectable = rec
+            .failure_causes
+            .iter()
+            .find(|(label, _)| label == "data-corruption")
+            .map_or(0, |(_, count)| *count as u64);
     }
+    let report = AbftReport {
+        attempts,
+        detected: stats.iter().map(|s| s.detected).sum::<u64>() + uncorrectable,
+        corrected: stats.iter().map(|s| s.corrected).sum(),
+        uncorrectable,
+        checkpoints: captured_boundaries.len(),
+        checkpoints_evicted,
+        resume_step: stats.iter().map(|s| s.first_panel).max().unwrap_or(0) as usize,
+        resume_k,
+        panels_total,
+        panels_executed: stats.iter().map(|s| s.panels_executed).max().unwrap_or(0) as usize,
+        recompute_fraction,
+    };
+    Ok(AbftRunResult { run, abft: report })
 }
 
 /// A partition-independent k-prefix snapshot of `C`: the product after
@@ -1171,24 +846,16 @@ pub fn multiply_abft_prefix(
     let resume_k = resume.map_or(0, |c| c.k);
     assert!(resume_k < stop_k, "segment [{resume_k}, {stop_k}) is empty");
     let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
-    let defaults = RecoveryOptions::default();
-    let (run, _stats) = try_run_abft(
+    let body = checksummed_rank(abft, &spec, mode.kernel(), &store, resume, stop_k);
+    let (run, _stats) = run_attempt(
         &spec,
         a,
         b,
-        mode.kernel(),
         cost,
+        &RecoveryOptions::default(),
         None,
         None,
-        None,
-        defaults.recv_timeout,
-        None,
-        None,
-        defaults.backend,
-        abft,
-        resume.map(|c| (c.k, Arc::new(c.c.clone()))),
-        stop_k,
-        &store,
+        body,
     )
     .map_err(|last| RecoveryError::AttemptsExhausted { attempts: 1, last })?;
     Ok(PanelCheckpoint {
@@ -1201,6 +868,7 @@ pub fn multiply_abft_prefix(
 mod tests {
     use super::*;
     use crate::multiply_panelled;
+    use std::time::Duration;
     use summagen_comm::ZeroCost;
     use summagen_matrix::{approx_eq, gemm_naive, random_matrix};
     use summagen_partition::{proportional_areas, ALL_FOUR_SHAPES};

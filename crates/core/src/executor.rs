@@ -6,13 +6,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use summagen_comm::{
-    Backend, ClockSnapshot, CostModel, EventSink, FailureCause, FaultPlan, HeartbeatConfig,
-    HockneyModel, LinkPlan, RankFailure, TrafficStats, Universe, ZeroCost, DEFAULT_RECV_TIMEOUT,
+    Backend, ClockSnapshot, CommResult, Communicator, CostModel, EventSink, FailureCause,
+    FaultPlan, HeartbeatConfig, HockneyModel, LinkPlan, RankFailure, TrafficStats, Universe,
+    ZeroCost, DEFAULT_RECV_TIMEOUT,
 };
 use summagen_matrix::{DenseMatrix, GemmKernel};
-use summagen_partition::{beaumont_column_layout, proportional_areas, PartitionSpec, Shape};
+use summagen_partition::{
+    beaumont_column_layout, proportional_areas, PartitionSpec, ProcBlock, Shape,
+};
 
-use crate::rankdata::{assemble, distribute};
+use crate::rankdata::{assemble, distribute, RankMatrices};
 use crate::stages::{horizontal_a, local_compute, vertical_b, StageData, Workspace};
 
 /// How local computations execute.
@@ -83,7 +86,7 @@ pub fn multiply(
     b: &DenseMatrix,
     mode: ExecutionMode,
 ) -> RunResult {
-    run_real(spec, a, b, mode, ZeroCost)
+    run_real(spec, a, b, mode, ZeroCost, None)
 }
 
 /// Multiplies `A × B` with SummaGen, pricing communication with a Hockney
@@ -95,7 +98,7 @@ pub fn multiply_with_cost(
     mode: ExecutionMode,
     cost: HockneyModel,
 ) -> RunResult {
-    run_real(spec, a, b, mode, cost)
+    run_real(spec, a, b, mode, cost, None)
 }
 
 /// Like [`multiply_with_cost`] but reporting every runtime event — sends,
@@ -113,21 +116,7 @@ pub fn multiply_traced(
     cost: impl CostModel,
     sink: Arc<dyn EventSink>,
 ) -> RunResult {
-    try_run_real(
-        spec,
-        a,
-        b,
-        mode,
-        cost,
-        None,
-        None,
-        None,
-        None,
-        DEFAULT_RECV_TIMEOUT,
-        Some(sink),
-        Backend::Channel,
-    )
-    .unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
+    run_real(spec, a, b, mode, cost, Some(sink))
 }
 
 fn run_real(
@@ -136,81 +125,89 @@ fn run_real(
     b: &DenseMatrix,
     mode: ExecutionMode,
     cost: impl CostModel,
+    sink: Option<Arc<dyn EventSink>>,
 ) -> RunResult {
-    try_run_real(
-        spec,
-        a,
-        b,
-        mode,
-        cost,
-        None,
-        None,
-        None,
-        None,
-        DEFAULT_RECV_TIMEOUT,
-        None,
-        Backend::Channel,
-    )
+    let opts = RecoveryOptions::default();
+    run_attempt(spec, a, b, cost, &opts, None, sink, |comm, data| {
+        Ok((one_shot_rank(comm, spec, data, mode.kernel())?, ()))
+    })
     .unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
+    .0
 }
 
-/// One fallible execution attempt: runs the three stages under `try_run`,
-/// so a dying rank surfaces as `Err(RankFailure)` instead of a panic or a
-/// silent hang.
+/// One rank of a one-shot run: the three SummaGen stages over real blocks.
+fn one_shot_rank(
+    comm: &Communicator,
+    spec: &PartitionSpec,
+    data: &RankMatrices,
+    kernel: GemmKernel,
+) -> CommResult<RankBlocks> {
+    let rank = comm.rank();
+    let mut state = StageData::Real {
+        data,
+        ws: Workspace::for_rank(spec, rank),
+        kernel,
+    };
+    horizontal_a(comm, spec, rank, &mut state)?;
+    vertical_b(comm, spec, rank, &mut state)?;
+    // Real runs do not model device speeds: computation advances the
+    // clock by zero (timing studies use `simulate`).
+    let (blocks, _flops) = local_compute(comm, spec, rank, &mut state, |_| 0.0);
+    Ok(blocks)
+}
+
+/// One rank's `C` blocks with their placement.
+pub(crate) type RankBlocks = Vec<(ProcBlock, DenseMatrix)>;
+
+/// One fallible execution attempt over a fixed partition, shared by the
+/// one-shot, panelled and checksummed executors: distributes `A` and `B`,
+/// runs `rank_body` on every rank of a universe built from `opts` (lossy
+/// links, heartbeat, receive timeout, metrics, wire) plus `faults` and
+/// `sink`, and assembles the product. A dying rank surfaces as
+/// `Err(RankFailure)` instead of a panic or a silent hang. Each rank's
+/// extra result is returned alongside, in rank order.
 #[allow(clippy::too_many_arguments)]
-fn try_run_real(
+pub(crate) fn run_attempt<X: Send>(
     spec: &PartitionSpec,
     a: &DenseMatrix,
     b: &DenseMatrix,
-    mode: ExecutionMode,
     cost: impl CostModel,
+    opts: &RecoveryOptions,
     faults: Option<FaultPlan>,
-    link: Option<LinkPlan>,
-    heartbeat: Option<HeartbeatConfig>,
-    metrics: Option<Arc<summagen_metrics::RuntimeMetrics>>,
-    recv_timeout: Duration,
     sink: Option<Arc<dyn EventSink>>,
-    backend: Backend,
-) -> Result<RunResult, RankFailure> {
+    rank_body: impl Fn(&Communicator, &RankMatrices) -> CommResult<(RankBlocks, X)> + Sync,
+) -> Result<(RunResult, Vec<X>), RankFailure> {
     let rank_data = distribute(spec, a, b);
     let mut universe = Universe::new(spec.nprocs, cost)
-        .recv_timeout(recv_timeout)
-        .with_backend(backend);
+        .recv_timeout(opts.recv_timeout)
+        .with_backend(opts.backend);
     if let Some(plan) = faults {
         universe = universe.with_faults(plan);
     }
-    if let Some(plan) = link {
+    if let Some(plan) = opts.link_plan.clone() {
         universe = universe.with_link_plan(plan);
     }
-    if let Some(hb) = heartbeat {
+    if let Some(hb) = opts.heartbeat {
         universe = universe.with_heartbeat(hb);
     }
-    if let Some(m) = metrics {
+    if let Some(m) = opts.metrics.clone() {
         universe = universe.with_metrics(m);
     }
     if let Some(sink) = sink {
         universe = universe.with_event_sink(sink);
     }
     let results = universe.try_run(|comm| {
-        let rank = comm.rank();
-        let mut state = StageData::Real {
-            data: &rank_data[rank],
-            ws: Workspace::for_rank(spec, rank),
-            kernel: mode.kernel(),
-        };
-        horizontal_a(&comm, spec, rank, &mut state)?;
-        vertical_b(&comm, spec, rank, &mut state)?;
-        // Real runs do not model device speeds: computation advances the
-        // clock by zero (timing studies use `simulate`).
-        let (blocks, _flops) = local_compute(&comm, spec, rank, &mut state, |_| 0.0);
-        Ok((blocks, comm.clock_snapshot(), comm.traffic()))
+        let (blocks, extra) = rank_body(&comm, &rank_data[comm.rank()])?;
+        Ok((blocks, extra, comm.clock_snapshot(), comm.traffic()))
     })?;
 
     let mut blocks = Vec::with_capacity(spec.nprocs);
+    let mut extras = Vec::with_capacity(spec.nprocs);
     let mut clocks = Vec::with_capacity(spec.nprocs);
     let mut traffic = Vec::with_capacity(spec.nprocs);
-    for (b, c, t) in results {
+    for (b, x, c, t) in results {
         blocks.push(b);
+        extras.push(x);
         clocks.push(c);
         traffic.push(t);
     }
@@ -218,7 +215,7 @@ fn try_run_real(
     let exec_time = clocks.iter().map(|c| c.now).fold(0.0, f64::max);
     let comp_time = clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max);
     let comm_time = clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max);
-    Ok(RunResult {
+    let run = RunResult {
         c,
         clocks,
         traffic,
@@ -226,7 +223,8 @@ fn try_run_real(
         comp_time,
         comm_time,
         recovery: None,
-    })
+    };
+    Ok((run, extras))
 }
 
 /// Policy knobs for [`multiply_with_recovery`].
@@ -315,9 +313,7 @@ pub struct RecoveryReport {
 
 /// Collapses a cause tally into the sorted `(label, count)` form stored
 /// in [`RecoveryReport::failure_causes`].
-pub(crate) fn cause_counts(
-    tally: &std::collections::BTreeMap<String, usize>,
-) -> Vec<(String, usize)> {
+fn cause_counts(tally: &std::collections::BTreeMap<String, usize>) -> Vec<(String, usize)> {
     tally.iter().map(|(k, v)| (k.clone(), *v)).collect()
 }
 
@@ -400,47 +396,71 @@ pub fn multiply_with_recovery(
     attempt_faults: &[FaultPlan],
     opts: &RecoveryOptions,
 ) -> Result<RunResult, RecoveryError> {
+    assert_eq!(a.rows(), b.rows(), "A and B must share dimension n");
+    let kernel = mode.kernel();
+    let (run, _) = shrink_and_retry(
+        shape,
+        rel_speeds,
+        a.rows(),
+        attempt_faults,
+        opts,
+        |spec, faults| {
+            run_attempt(
+                spec,
+                a,
+                b,
+                cost.clone(),
+                opts,
+                faults,
+                None,
+                |comm, data| Ok((one_shot_rank(comm, spec, data, kernel)?, ())),
+            )
+        },
+    )?;
+    Ok(run)
+}
+
+/// The shrink-and-retry loop behind [`multiply_with_recovery`] and
+/// [`crate::multiply_abft`], following the policy documented on
+/// [`multiply_with_recovery`]: runs `attempt` over the partition of the
+/// surviving devices, with attempt `i`'s entry of `attempt_faults`, until
+/// one succeeds or the budget or the devices run out. The successful
+/// result's `exec_time` carries the retry backoff, and its `recovery`
+/// report (present iff a retry happened) says `recompute_fraction` 1.0 —
+/// callers that resume from a checkpoint overwrite it.
+pub(crate) fn shrink_and_retry<X>(
+    shape: Shape,
+    rel_speeds: &[f64],
+    n: usize,
+    attempt_faults: &[FaultPlan],
+    opts: &RecoveryOptions,
+    mut attempt: impl FnMut(&PartitionSpec, Option<FaultPlan>) -> Result<(RunResult, X), RankFailure>,
+) -> Result<(RunResult, X), RecoveryError> {
     assert!(!rel_speeds.is_empty(), "need at least one device");
     assert!(opts.max_attempts > 0, "need at least one attempt");
-    assert_eq!(a.rows(), b.rows(), "A and B must share dimension n");
-    let n = a.rows();
-
     let mut devices: Vec<usize> = (0..rel_speeds.len()).collect();
     let mut failed_devices: Vec<usize> = Vec::new();
     let mut causes: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
     let mut announced_failures = 0usize;
     let mut detected_failures = 0usize;
     let mut max_detection_latency = 0.0f64;
-    let mut attempt = 0;
+    let mut attempts = 0;
     loop {
-        attempt += 1;
+        attempts += 1;
         let speeds: Vec<f64> = devices.iter().map(|&d| rel_speeds[d]).collect();
         let spec = survivor_spec(shape, n, &speeds);
         let faults = attempt_faults
-            .get(attempt - 1)
+            .get(attempts - 1)
             .filter(|p| !p.is_empty())
             .cloned();
-        match try_run_real(
-            &spec,
-            a,
-            b,
-            mode,
-            cost.clone(),
-            faults,
-            opts.link_plan.clone(),
-            opts.heartbeat,
-            opts.metrics.clone(),
-            opts.recv_timeout,
-            None,
-            opts.backend,
-        ) {
-            Ok(mut result) => {
-                let backoff_time = (attempt - 1) as f64 * opts.retry_backoff;
+        match attempt(&spec, faults) {
+            Ok((mut result, extra)) => {
+                let backoff_time = (attempts - 1) as f64 * opts.retry_backoff;
                 result.exec_time += backoff_time;
-                if attempt > 1 {
+                if attempts > 1 {
                     let area = (n * n) as f64;
                     result.recovery = Some(RecoveryReport {
-                        attempts: attempt,
+                        attempts,
                         failed_devices: failed_devices.clone(),
                         surviving_devices: devices.clone(),
                         final_loads: spec.areas().iter().map(|&a| a as f64 / area).collect(),
@@ -453,7 +473,7 @@ pub fn multiply_with_recovery(
                         max_detection_latency,
                     });
                 }
-                return Ok(result);
+                return Ok((result, extra));
             }
             Err(failure) => {
                 for fr in &failure.failed {
@@ -468,9 +488,9 @@ pub fn multiply_with_recovery(
                         announced_failures += 1;
                     }
                 }
-                if attempt >= opts.max_attempts {
+                if attempts >= opts.max_attempts {
                     return Err(RecoveryError::AttemptsExhausted {
-                        attempts: attempt,
+                        attempts,
                         last: failure,
                     });
                 }
@@ -491,7 +511,7 @@ pub fn multiply_with_recovery(
                 devices.retain(|d| !dropped.contains(d));
                 failed_devices.append(&mut dropped);
                 if devices.is_empty() {
-                    return Err(RecoveryError::AllDevicesFailed { attempts: attempt });
+                    return Err(RecoveryError::AllDevicesFailed { attempts });
                 }
             }
         }
@@ -653,15 +673,63 @@ mod tests {
 
     #[test]
     fn all_kernels_agree_through_summagen() {
-        let n = 36;
-        let areas = proportional_areas(n, &[1.0, 1.5, 0.7]);
-        let spec = Shape::BlockRectangle.build(n, &areas);
+        // Large enough that the panel GEMMs take `gemm_parallel`'s
+        // row-parallel branch rather than its small-problem fallback.
+        let n = 160;
+        let speeds = [1.0, 1.5, 0.7];
+        let spec = Shape::BlockRectangle.build(n, &proportional_areas(n, &speeds));
         let a = random_matrix(n, n, 13);
         let b = random_matrix(n, n, 14);
         let want = reference(&a, &b);
-        for kernel in [GemmKernel::Naive, GemmKernel::Blocked, GemmKernel::Parallel] {
-            let res = multiply(&spec, &a, &b, ExecutionMode::RealWith(kernel));
-            assert!(approx_eq(&res.c, &want, gemm_tolerance(n) * 100.0));
+        let one_shot = |k| multiply(&spec, &a, &b, ExecutionMode::RealWith(k)).c;
+        let panelled = |k| crate::multiply_panelled(&spec, &a, &b, k).c;
+        let checksummed = |k| {
+            let mode = ExecutionMode::RealWith(k);
+            let opts = RecoveryOptions::default();
+            let abft = crate::AbftOptions::default();
+            crate::multiply_abft(
+                Shape::BlockRectangle,
+                &speeds,
+                &a,
+                &b,
+                mode,
+                ZeroCost,
+                &[],
+                &opts,
+                &abft,
+            )
+            .expect("fault-free protected run succeeds")
+            .run
+            .c
+        };
+        let paths: [(&str, &dyn Fn(GemmKernel) -> DenseMatrix); 3] = [
+            ("one-shot", &one_shot),
+            ("panelled", &panelled),
+            ("checksummed", &checksummed),
+        ];
+        for (path, run) in paths {
+            let [naive, blocked, parallel] =
+                [GemmKernel::Naive, GemmKernel::Blocked, GemmKernel::Parallel].map(run);
+            assert!(
+                approx_eq(&blocked, &want, gemm_tolerance(n) * 100.0),
+                "{path}"
+            );
+            // Naive sums each element in a register and adds it once;
+            // Blocked adds every product straight into C. Same terms,
+            // different rounding.
+            assert!(
+                approx_eq(&naive, &blocked, gemm_tolerance(n)),
+                "{path}: naive"
+            );
+            // Parallel runs the blocked kernel once per row of C, and the
+            // blocked kernel adds into each element in ascending-k order
+            // whatever the row count: the products are bit-identical.
+            let same = parallel
+                .as_slice()
+                .iter()
+                .zip(blocked.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "{path}: parallel drifted from blocked");
         }
     }
 
@@ -930,6 +998,47 @@ mod proptests {
         PartitionSpec::new(owners, heights, widths, p)
     }
 
+    /// One zero-fault attempt of the panel loop over `spec` with the plain
+    /// or the checksummed codec, from `resume` up to `stop_k`.
+    fn panel_run(
+        spec: &PartitionSpec,
+        a: &DenseMatrix,
+        b: &DenseMatrix,
+        checksummed: bool,
+        resume: Option<&crate::PanelCheckpoint>,
+        stop_k: usize,
+    ) -> RunResult {
+        use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload};
+        let abft = crate::AbftOptions::default();
+        let store =
+            crate::abft::CheckpointStore::new(spec.nprocs, spec.n, abft.checkpoint_budget_bytes);
+        let codec = if checksummed {
+            PanelCodec::Checksummed {
+                opts: &abft,
+                store: &store,
+            }
+        } else {
+            PanelCodec::Plain
+        };
+        let opts = RecoveryOptions::default();
+        run_attempt(spec, a, b, ZeroCost, &opts, None, None, |comm, data| {
+            let payload = PanelPayload::Real {
+                data,
+                kernel: GemmKernel::Blocked,
+            };
+            run_rank_panels(comm, spec, payload, &codec, |_, _| 0.0, resume, stop_k)
+        })
+        .expect("zero-fault attempt succeeds")
+        .0
+    }
+
+    fn same_bits(x: &DenseMatrix, y: &DenseMatrix) -> bool {
+        x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(p, q)| p.to_bits() == q.to_bits())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -942,6 +1051,69 @@ mod proptests {
             let b = random_matrix(n, n, seed.wrapping_add(2));
             let res = multiply(&spec, &a, &b, ExecutionMode::Real);
             prop_assert!(approx_eq(&res.c, &reference(&a, &b), gemm_tolerance(n) * 100.0));
+        }
+
+        /// The plain panel loop computes what the one-shot stages compute,
+        /// on arbitrary valid partition specs.
+        #[test]
+        fn panelled_matches_one_shot_on_arbitrary_specs(n in 8usize..40, p in 1usize..5, seed in 0u64..10_000) {
+            let spec = random_spec(n, p, seed);
+            let a = random_matrix(n, n, seed.wrapping_add(1));
+            let b = random_matrix(n, n, seed.wrapping_add(2));
+            let one_shot = multiply(&spec, &a, &b, ExecutionMode::RealWith(GemmKernel::Blocked));
+            let plain = crate::multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+            prop_assert!(approx_eq(&plain.c, &one_shot.c, gemm_tolerance(n) * 100.0));
+        }
+
+        /// Checksums ride along without touching the data region: a
+        /// zero-fault checksummed run is bit-identical to the plain one.
+        #[test]
+        fn checksummed_equals_plain_on_arbitrary_specs(n in 8usize..40, p in 1usize..5, seed in 0u64..10_000) {
+            let spec = random_spec(n, p, seed);
+            let a = random_matrix(n, n, seed.wrapping_add(1));
+            let b = random_matrix(n, n, seed.wrapping_add(2));
+            let plain = crate::multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+            let checked = panel_run(&spec, &a, &b, true, None, n);
+            prop_assert!(same_bits(&checked.c, &plain.c));
+        }
+
+        /// The phantom simulation moves exactly the messages and bytes of
+        /// the real plain run, rank by rank.
+        #[test]
+        fn phantom_traffic_equals_real_on_arbitrary_specs(n in 8usize..40, p in 1usize..5, seed in 0u64..10_000) {
+            use summagen_platform::{profile::hclserver1, Platform};
+            let spec = random_spec(n, p, seed);
+            let a = random_matrix(n, n, seed.wrapping_add(1));
+            let b = random_matrix(n, n, seed.wrapping_add(2));
+            let processors = hclserver1().processors.into_iter().cycle().take(spec.nprocs);
+            let platform = Platform::new(processors.collect(), 230.0);
+            let phantom = crate::simulate_panelled(&spec, &platform, ZeroCost);
+            let real = crate::multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
+            prop_assert_eq!(phantom.traffic, real.traffic);
+        }
+
+        /// Stopping at any panel boundary and resuming from the returned
+        /// prefix reproduces the uninterrupted run bit-for-bit, with
+        /// either codec.
+        #[test]
+        fn prefix_chain_equals_uninterrupted_on_arbitrary_specs(
+            n in 8usize..40,
+            p in 1usize..5,
+            seed in 0u64..10_000,
+            split in 0usize..1_000,
+        ) {
+            let spec = random_spec(n, p, seed);
+            let a = random_matrix(n, n, seed.wrapping_add(1));
+            let b = random_matrix(n, n, seed.wrapping_add(2));
+            let t = split % spec.grid_cols;
+            let stop = spec.col_offset(t) + spec.widths[t];
+            for checksummed in [false, true] {
+                let whole = panel_run(&spec, &a, &b, checksummed, None, n);
+                let head = panel_run(&spec, &a, &b, checksummed, None, stop);
+                let prefix = crate::PanelCheckpoint { k: stop, c: head.c };
+                let tail = panel_run(&spec, &a, &b, checksummed, Some(&prefix), n);
+                prop_assert!(same_bits(&tail.c, &whole.c), "split at k = {}", stop);
+            }
         }
 
         /// The four shapes are correct across random sizes and area mixes.

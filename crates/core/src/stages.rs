@@ -22,6 +22,10 @@ use crate::rankdata::RankMatrices;
 /// Label space separating row communicators from column communicators.
 const ROW_LABEL_BASE: u64 = 1 << 20;
 const COL_LABEL_BASE: u64 = 1 << 21;
+/// Label spaces of the panel loop's per-panel row and column
+/// communicators (see [`crate::panelled`]).
+pub(crate) const PANEL_ROW_LABEL_BASE: u64 = 1 << 22;
+pub(crate) const PANEL_COL_LABEL_BASE: u64 = 1 << 23;
 
 /// Working storage of one rank during a real-numeric run: `WA` holds the
 /// needed sub-partition rows of `A` (local rows × n) and `WB` the needed
@@ -83,7 +87,7 @@ pub(crate) enum StageData<'a> {
 
 /// The sorted list of processors owning at least one sub-partition in grid
 /// row `bi`.
-fn row_participants(spec: &PartitionSpec, bi: usize) -> Vec<usize> {
+pub(crate) fn row_participants(spec: &PartitionSpec, bi: usize) -> Vec<usize> {
     (0..spec.nprocs)
         .filter(|&p| spec.row_contains(p, bi))
         .collect()
@@ -91,7 +95,7 @@ fn row_participants(spec: &PartitionSpec, bi: usize) -> Vec<usize> {
 
 /// The sorted list of processors owning at least one sub-partition in grid
 /// column `bj`.
-fn col_participants(spec: &PartitionSpec, bj: usize) -> Vec<usize> {
+pub(crate) fn col_participants(spec: &PartitionSpec, bj: usize) -> Vec<usize> {
     (0..spec.nprocs)
         .filter(|&p| spec.col_contains(p, bj))
         .collect()
