@@ -20,8 +20,6 @@
 //! any regression. A folded-stack flamegraph (`flame_<shape>.folded`)
 //! of each CPM run rides along for "where did the time go" triage.
 
-use std::fs;
-use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -31,7 +29,11 @@ use summagen_partition::{proportional_areas, Shape, ALL_FOUR_SHAPES};
 use summagen_platform::profile::hclserver1;
 use summagen_trace::{folded_stacks, TraceRecorder};
 
-use crate::json::{with_metadata, Json, SCHEMA_VERSION};
+use crate::harness::{
+    backend_artifact_name, check_docs, cpm_speeds_json, shape_slug, write_artifacts, CheckError,
+    CheckOutcome,
+};
+use crate::json::{with_metadata, Json};
 use crate::resilience::{self, AbftShapeRun};
 use crate::{link_model, run_fpm_point, CPM_SPEEDS};
 
@@ -42,11 +44,6 @@ pub const BENCH_N: usize = 25_600;
 /// Problem size of the FPM regression point (load-imbalancing
 /// partitioner over the discrete speed functions).
 pub const BENCH_FPM_N: usize = 8_192;
-
-/// Default relative tolerance of `bench --check`. Virtual-time runs are
-/// deterministic, so this only needs to absorb float formatting and
-/// cross-platform libm noise — 1 % is generous.
-pub const DEFAULT_CHECK_TOLERANCE: f64 = 0.01;
 
 /// Everything measured about one shape's regression runs.
 #[derive(Debug)]
@@ -70,8 +67,9 @@ pub struct BenchShapeRun {
 }
 
 /// Runs the three regression scenarios for one shape, with the CPM run
-/// carried over `backend`.
-pub fn bench_shape(shape: Shape, backend: Backend) -> BenchShapeRun {
+/// carried over `backend`. Fails when the ABFT pair trips one of its
+/// correctness gates.
+pub fn bench_shape(shape: Shape, backend: Backend) -> Result<BenchShapeRun, String> {
     let platform = hclserver1();
     let areas = proportional_areas(BENCH_N, &CPM_SPEEDS);
     let spec = shape.build(BENCH_N, &areas);
@@ -87,8 +85,8 @@ pub fn bench_shape(shape: Shape, backend: Backend) -> BenchShapeRun {
     );
     let folded = folded_stacks(&recorder.finish());
     let fpm = run_fpm_point(BENCH_FPM_N, shape, &platform);
-    let abft = resilience::abft_shape_run(resilience::ABFT_N, shape);
-    BenchShapeRun {
+    let abft = resilience::abft_shape_run(resilience::ABFT_N, shape)?;
+    Ok(BenchShapeRun {
         shape,
         cpm,
         metrics,
@@ -96,7 +94,7 @@ pub fn bench_shape(shape: Shape, backend: Backend) -> BenchShapeRun {
         fpm,
         abft,
         backend,
-    }
+    })
 }
 
 /// The schema-stamped regression document for one shape.
@@ -165,10 +163,7 @@ pub fn bench_json(run: &BenchShapeRun) -> Json {
             ("cpm_n", Json::from(BENCH_N)),
             ("fpm_n", Json::from(BENCH_FPM_N)),
             ("abft_n", Json::from(resilience::ABFT_N)),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("cpm_speeds", cpm_speeds_json()),
         ]),
     )
 }
@@ -185,26 +180,10 @@ fn hist_quantiles(h: &summagen_metrics::Histogram) -> Json {
     ])
 }
 
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
-}
-
-/// Artifact name for one shape's document: channel runs keep the
-/// historical `BENCH_<shape>.json` so committed baselines stay valid;
-/// other backends get a `_<backend>` suffix and never collide with them.
-pub fn bench_artifact_name(shape: Shape, backend: Backend) -> String {
-    let slug = shape_slug(shape);
-    match backend {
-        Backend::Channel => format!("BENCH_{slug}.json"),
-        other => format!("BENCH_{slug}_{}.json", other.name()),
-    }
-}
-
 /// Runs all four shapes over `backend`, writing `BENCH_<shape>.json`
 /// (suffixed with the backend name off the default channel) and
 /// `flame_<shape>.folded` into `out_dir` and printing a summary table.
-pub fn run_bench(out_dir: &Path, backend: Backend) -> io::Result<()> {
-    fs::create_dir_all(out_dir)?;
+pub fn run_bench(out_dir: &Path, backend: Backend) -> Result<(), String> {
     println!(
         "\nBENCH — regression harness (CPM N = {BENCH_N}, FPM N = {BENCH_FPM_N}, \
          ABFT N = {}, backend = {backend}), output in {}",
@@ -216,13 +195,17 @@ pub fn run_bench(out_dir: &Path, backend: Backend) -> io::Result<()> {
         "shape", "makespan(s)", "GFLOP/s", "comm%", "abft+%", "p99 send(s)"
     );
     for shape in ALL_FOUR_SHAPES {
-        let run = bench_shape(shape, backend);
-        let slug = shape_slug(shape);
-        fs::write(
-            out_dir.join(bench_artifact_name(shape, backend)),
-            bench_json(&run).pretty(),
+        let run = bench_shape(shape, backend)?;
+        write_artifacts(
+            out_dir,
+            &[
+                (
+                    backend_artifact_name("BENCH", shape, backend),
+                    &bench_json(&run).pretty(),
+                ),
+                (format!("flame_{}.folded", shape_slug(shape)), &run.folded),
+            ],
         )?;
-        fs::write(out_dir.join(format!("flame_{slug}.folded")), &run.folded)?;
         println!(
             "{:>20} {:>12.4} {:>10.1} {:>7.2}% {:>9.2}% {:>12.3e}",
             shape.name(),
@@ -236,271 +219,35 @@ pub fn run_bench(out_dir: &Path, backend: Backend) -> io::Result<()> {
     Ok(())
 }
 
-/// One `--check` violation, human-readable.
-pub type CheckViolation = String;
-
-/// Why a `--check` run could not even be attempted — distinct from a
-/// [`CheckOutcome`] with violations (the comparison ran and failed).
-/// Every variant names the offending path, so a typo'd `--check DIR`
-/// fails with the directory it looked in rather than a bare "No such
-/// file or directory".
-#[derive(Debug)]
-pub enum CheckError {
-    /// The baseline directory does not exist (or is not a directory).
-    MissingBaselineDir(std::path::PathBuf),
-    /// A baseline artifact is missing or unreadable.
-    UnreadableBaseline(std::path::PathBuf, io::Error),
-    /// A baseline artifact exists but is not parseable JSON.
-    MalformedBaseline(std::path::PathBuf, String),
-}
-
-impl std::fmt::Display for CheckError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckError::MissingBaselineDir(dir) => write!(
-                f,
-                "baseline directory '{}' does not exist — run the export first \
-                 (e.g. `reproduce bench --out {}`) or point --check at a committed baseline",
-                dir.display(),
-                dir.display()
-            ),
-            CheckError::UnreadableBaseline(path, e) => {
-                write!(f, "baseline '{}' unreadable: {e}", path.display())
-            }
-            CheckError::MalformedBaseline(path, e) => {
-                write!(f, "baseline '{}' is not valid JSON: {e}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for CheckError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CheckError::UnreadableBaseline(_, e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-/// Reads and parses one baseline artifact, wrapping both failure modes
-/// with the offending path. Shared by `bench --check` and
-/// `insight --check`.
-pub fn read_baseline(path: &Path) -> Result<Json, CheckError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| CheckError::UnreadableBaseline(path.to_path_buf(), e))?;
-    Json::parse(&text).map_err(|e| CheckError::MalformedBaseline(path.to_path_buf(), e))
-}
-
-/// Fails fast with a typed error if `baseline_dir` is not a directory,
-/// before any expensive fresh runs are attempted.
-pub fn require_baseline_dir(baseline_dir: &Path) -> Result<(), CheckError> {
-    if baseline_dir.is_dir() {
-        Ok(())
-    } else {
-        Err(CheckError::MissingBaselineDir(baseline_dir.to_path_buf()))
-    }
-}
-
-/// The relative drift of one numeric leaf between baseline and fresh
-/// documents; `--check` reports the worst one on failure so the first
-/// place to look is named instead of buried in a violation list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeafDrift {
-    /// Dotted path of the leaf, prefixed with the document label
-    /// (e.g. `square-corner: summary.exec_time_s`).
-    pub path: String,
-    /// The baseline value.
-    pub baseline: f64,
-    /// The freshly measured value.
-    pub fresh: f64,
-    /// `|fresh - baseline|` relative to the baseline magnitude.
-    pub rel: f64,
-}
-
-impl std::fmt::Display for LeafDrift {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "'{}' drifted {:+.2}% (baseline {}, fresh {})",
-            self.path,
-            100.0 * (self.fresh - self.baseline) / self.baseline.abs().max(1e-12),
-            self.baseline,
-            self.fresh
-        )
-    }
-}
-
-/// Everything a `--check` run learned: the violations (empty = pass)
-/// plus the worst-drifting leaf across every compared document, even
-/// when that drift is within tolerance.
-#[derive(Debug, Default)]
-pub struct CheckOutcome {
-    /// Out-of-tolerance (or structural) violations.
-    pub violations: Vec<CheckViolation>,
-    /// The numeric leaf with the largest relative drift seen anywhere.
-    pub worst: Option<LeafDrift>,
-}
-
-impl CheckOutcome {
-    pub(crate) fn absorb(&mut self, drift: Option<LeafDrift>) {
-        if let Some(d) = drift {
-            if self.worst.as_ref().is_none_or(|w| d.rel > w.rel) {
-                self.worst = Some(d);
-            }
-        }
-    }
-}
-
-/// Flattens every numeric leaf of a document into `(dotted.path, value)`
-/// pairs. Array elements use their index as the path component.
-fn numeric_leaves(prefix: &str, v: &Json, out: &mut Vec<(String, f64)>) {
-    match v {
-        Json::Num(x) => out.push((prefix.to_string(), *x)),
-        Json::Obj(pairs) => {
-            for (k, v) in pairs {
-                let p = if prefix.is_empty() {
-                    k.clone()
-                } else {
-                    format!("{prefix}.{k}")
-                };
-                numeric_leaves(&p, v, out);
-            }
-        }
-        Json::Arr(items) => {
-            for (i, v) in items.iter().enumerate() {
-                numeric_leaves(&format!("{prefix}.{i}"), v, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Compares a fresh document against a baseline: every numeric leaf of
-/// the baseline must exist in the fresh document and agree within
-/// relative tolerance `tol` (absolute for values near zero). The
-/// provenance `git_commit` is a string and is naturally ignored;
-/// `schema_version` must match exactly. When *both* documents record a
-/// `run_config.backend`, they must match — a channel baseline checked
-/// against a TCP rerun (or vice versa) is not a like-for-like
-/// comparison, even though the virtual-time numbers should agree.
-/// Baselines predating the field compare against any backend.
-pub fn compare_docs(label: &str, baseline: &Json, fresh: &Json, tol: f64) -> Vec<CheckViolation> {
-    compare_docs_drift(label, baseline, fresh, tol).0
-}
-
-/// [`compare_docs`], additionally reporting the worst-drifting numeric
-/// leaf of the pair (whether or not it violated the tolerance).
-pub fn compare_docs_drift(
-    label: &str,
-    baseline: &Json,
-    fresh: &Json,
-    tol: f64,
-) -> (Vec<CheckViolation>, Option<LeafDrift>) {
-    let mut violations = Vec::new();
-    let mut worst: Option<LeafDrift> = None;
-    let base_schema = baseline.get("schema_version").and_then(Json::as_f64);
-    if base_schema != Some(SCHEMA_VERSION as f64) {
-        violations.push(format!(
-            "{label}: baseline schema_version {base_schema:?} != {SCHEMA_VERSION} — \
-             refresh the baseline (see EXPERIMENTS.md)"
-        ));
-        return (violations, worst);
-    }
-    let backend_of = |doc: &Json| {
-        doc.path("run_config.backend")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-    };
-    if let (Some(base_be), Some(fresh_be)) = (backend_of(baseline), backend_of(fresh)) {
-        if base_be != fresh_be {
-            violations.push(format!(
-                "{label}: backend mismatch — baseline ran over '{base_be}', fresh run over \
-                 '{fresh_be}'; check like-for-like or refresh the baseline"
-            ));
-            return (violations, worst);
-        }
-    }
-    let mut base_leaves = Vec::new();
-    numeric_leaves("", baseline, &mut base_leaves);
-    let mut fresh_leaves = Vec::new();
-    numeric_leaves("", fresh, &mut fresh_leaves);
-    let fresh_map: std::collections::BTreeMap<&str, f64> =
-        fresh_leaves.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    for (path, want) in &base_leaves {
-        let Some(&got) = fresh_map.get(path.as_str()) else {
-            violations.push(format!("{label}: metric '{path}' missing from fresh run"));
-            continue;
-        };
-        // schema_version was matched exactly above; its zero drift
-        // would only dilute the worst-leaf report, so skip it.
-        if path == "schema_version" {
-            continue;
-        }
-        let scale = want.abs().max(1e-12);
-        let rel = (got - want).abs() / scale;
-        if worst.as_ref().is_none_or(|w| rel > w.rel) {
-            worst = Some(LeafDrift {
-                path: format!("{label}: {path}"),
-                baseline: *want,
-                fresh: got,
-                rel,
-            });
-        }
-        if rel > tol {
-            violations.push(format!(
-                "{label}: '{path}' regressed — baseline {want}, fresh {got} \
-                 ({:+.2}% vs tolerance ±{:.2}%)",
-                100.0 * (got - want) / scale,
-                100.0 * tol
-            ));
-        }
-    }
-    (violations, worst)
-}
-
 /// Reruns the harness over `backend` and checks each shape's fresh
 /// document against the matching artifact in `baseline_dir` (channel
-/// baselines are the unsuffixed `BENCH_<shape>.json`). Returns every
-/// violation (empty = within tolerance) plus the worst-drifting leaf
-/// across all shapes, so a failure names where to look first. A missing
-/// or unreadable baseline is a typed [`CheckError`] naming the path —
-/// detected before the expensive fresh runs start.
+/// baselines are the unsuffixed `BENCH_<shape>.json`) through the shared
+/// [`check_docs`] comparator.
 pub fn check_bench(
     baseline_dir: &Path,
     tol: f64,
     backend: Backend,
 ) -> Result<CheckOutcome, CheckError> {
-    require_baseline_dir(baseline_dir)?;
-    let mut outcome = CheckOutcome::default();
-    println!(
-        "\nBENCH CHECK — fresh {backend} run vs baselines in {} (tolerance ±{:.2}%)",
-        baseline_dir.display(),
-        100.0 * tol
-    );
-    for shape in ALL_FOUR_SHAPES {
-        let path = baseline_dir.join(bench_artifact_name(shape, backend));
-        let baseline = read_baseline(&path)?;
-        let fresh = bench_json(&bench_shape(shape, backend));
-        let (v, drift) = compare_docs_drift(shape.name(), &baseline, &fresh, tol);
-        println!(
-            "  {:<20} {}",
-            shape.name(),
-            if v.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("{} violation(s)", v.len())
-            }
-        );
-        outcome.violations.extend(v);
-        outcome.absorb(drift);
-    }
-    Ok(outcome)
+    let docs = ALL_FOUR_SHAPES.iter().map(|&shape| {
+        (
+            shape.name().to_string(),
+            backend_artifact_name("BENCH", shape, backend),
+            bench_shape(shape, backend).map(|run| bench_json(&run)),
+        )
+    });
+    check_docs(
+        &format!("BENCH CHECK — fresh {backend} run"),
+        baseline_dir,
+        tol,
+        docs,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{compare_docs_drift, CheckError};
+    use crate::json::SCHEMA_VERSION;
 
     #[test]
     fn check_against_a_missing_baseline_dir_is_a_typed_error_naming_the_path() {
@@ -516,31 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn unreadable_and_malformed_baselines_name_the_offending_path() {
-        let dir = std::env::temp_dir().join("summagen-check-error-test");
-        fs::create_dir_all(&dir).unwrap();
-
-        let missing = dir.join("BENCH_nope.json");
-        match read_baseline(&missing) {
-            Err(CheckError::UnreadableBaseline(p, _)) => assert_eq!(p, missing),
-            other => panic!("expected UnreadableBaseline, got {other:?}"),
-        }
-
-        let bad = dir.join("BENCH_bad.json");
-        fs::write(&bad, "{ this is not json").unwrap();
-        match read_baseline(&bad) {
-            Err(CheckError::MalformedBaseline(p, _)) => assert_eq!(p, bad),
-            other => panic!("expected MalformedBaseline, got {other:?}"),
-        }
-        // The dir exists, so the fast pre-check passes.
-        assert!(require_baseline_dir(&dir).is_ok());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn bench_json_is_deterministic_and_parseable() {
-        let a = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel));
-        let b = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel));
+        let a = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel).unwrap());
+        let b = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel).unwrap());
         // Virtual-time determinism: identical documents run-to-run.
         assert_eq!(a.pretty(), b.pretty());
         let parsed = Json::parse(&a.pretty()).expect("own output parses");
@@ -573,8 +298,8 @@ mod tests {
     fn bench_over_tcp_is_bit_identical_and_stamped() {
         // Virtual time is backend-blind: the TCP document differs from
         // the channel one only in its `run_config.backend` stamp.
-        let chan = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel));
-        let tcp = bench_json(&bench_shape(Shape::SquareCorner, Backend::Tcp));
+        let chan = bench_json(&bench_shape(Shape::SquareCorner, Backend::Channel).unwrap());
+        let tcp = bench_json(&bench_shape(Shape::SquareCorner, Backend::Tcp).unwrap());
         assert_eq!(
             tcp.path("run_config.backend").and_then(Json::as_str),
             Some("tcp")
@@ -584,16 +309,16 @@ mod tests {
             tcp.pretty().replace("\"backend\": \"tcp\"", "")
         );
         assert_eq!(
-            bench_artifact_name(Shape::SquareCorner, Backend::Tcp),
+            backend_artifact_name("BENCH", Shape::SquareCorner, Backend::Tcp),
             "BENCH_square-corner_tcp.json"
         );
     }
 
     #[test]
     fn compare_rejects_cross_backend_checks_but_tolerates_legacy_baselines() {
-        let chan = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel));
-        let tcp = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Tcp));
-        let v = compare_docs("cross", &chan, &tcp, 0.05);
+        let chan = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel).unwrap());
+        let tcp = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Tcp).unwrap());
+        let v = compare_docs_drift("cross", &chan, &tcp, 0.05).0;
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("backend mismatch"), "{v:?}");
 
@@ -608,17 +333,19 @@ mod tests {
                 }
             }
         }
-        assert!(compare_docs("legacy", &legacy, &tcp, 0.05).is_empty());
+        assert!(compare_docs_drift("legacy", &legacy, &tcp, 0.05)
+            .0
+            .is_empty());
     }
 
     #[test]
     fn compare_accepts_identical_and_rejects_perturbed() {
-        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel));
-        assert!(compare_docs("self", &doc, &doc, 0.0).is_empty());
+        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel).unwrap());
+        assert!(compare_docs_drift("self", &doc, &doc, 0.0).0.is_empty());
 
         // Perturb one metric by 10%: must be flagged at 5% tolerance.
         let perturbed = perturb(&doc, "cpm.makespan_s", 1.10);
-        let v = compare_docs("perturbed", &perturbed, &doc, 0.05);
+        let v = compare_docs_drift("perturbed", &perturbed, &doc, 0.05).0;
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("cpm.makespan_s"));
 
@@ -627,14 +354,14 @@ mod tests {
         if let Json::Obj(pairs) = &mut extra {
             pairs.push(("invented".to_string(), Json::from(1.0f64)));
         }
-        let v = compare_docs("missing", &extra, &doc, 0.05);
+        let v = compare_docs_drift("missing", &extra, &doc, 0.05).0;
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("invented"));
     }
 
     #[test]
     fn worst_drift_names_the_most_perturbed_leaf() {
-        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel));
+        let doc = bench_json(&bench_shape(Shape::OneDRectangular, Backend::Channel).unwrap());
 
         // Identical documents: every leaf drifts 0%, but a worst leaf is
         // still reported (ties resolve to the first).
@@ -657,7 +384,7 @@ mod tests {
     #[test]
     fn compare_rejects_schema_mismatch() {
         let doc = Json::obj([("schema_version", Json::from(999u32))]);
-        let v = compare_docs("schema", &doc, &doc, 0.05);
+        let v = compare_docs_drift("schema", &doc, &doc, 0.05).0;
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("schema_version"));
     }

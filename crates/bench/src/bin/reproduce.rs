@@ -1,4 +1,4 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's tables and figures and runs the harness gates.
 //!
 //! ```text
 //! reproduce table1 | fig1 | fig5 | fig6 | fig7 | fig8 | summary
@@ -7,418 +7,300 @@
 //!           | bench | soak | serve | degrade | crash | insight | all
 //! ```
 //!
-//! Output is whitespace-aligned text: one row per problem size with one
-//! column per shape (for the figure commands), matching the series the
-//! paper plots. `trace [--out DIR]` additionally writes Perfetto trace
-//! files and metrics summaries (default `target/trace`); `abft [--out
-//! DIR]` writes the ABFT overhead summaries and Perfetto traces of the
-//! checksum-protected runs (default `target/abft`); `bench [--out DIR]
-//! [--backend channel|tcp]` writes the schema-stamped
-//! `BENCH_<shape>.json` regression documents (suffixed `_tcp` off the
-//! default backend) and folded-stack flamegraphs (default
-//! `target/bench`), and `bench --check DIR [--tol FRACTION]` instead
-//! reruns the harness and compares against the like-named baselines in
-//! DIR, exiting nonzero on any regression or backend mismatch.
-//! `soak [--out DIR] [--backend channel|tcp]` runs the seeded lossy-link
-//! chaos soak (wire drops, duplicates, reorders, delays, plus a silent
-//! rank hang caught by the heartbeat detector) and writes
-//! `SOAK_<shape>.json` summaries (default `target/soak`; TCP artifacts
-//! are suffixed `_tcp`), exiting nonzero on any correctness mismatch.
-//! `--backend tcp` runs the identical chaos over a loopback-TCP
-//! universe instead of in-process channels.
-//! `serve [--mix small|hetero] [--policy fifo|rr|fpm] [--jobs N]
-//! [--out DIR]` drives the multi-tenant GEMM service with a seeded
-//! tenant load, prints the per-policy/per-tenant latency comparison,
-//! and writes `LOAD_<mix>.json`, `LOAD_<mix>.prom`, and per-policy
-//! `SCHEDULE_<mix>_<policy>.json` Perfetto timelines (default
-//! `target/serve`); with all three policies it exits nonzero unless the
-//! FPM-aware scheduler beats FIFO on both makespan and p95 latency.
-//! `degrade [--mix small|hetero] [--out DIR]` runs the same seeded
-//! stream with seeded device faults at 1×/2×/5× the mix's arrival rate,
-//! baseline (no degradation) against the full degradation layer
-//! (deadline admission, checkpoint preemption, quarantine, brownout),
-//! writes `DEGRADE_<mix>.json` and the top-factor
-//! `SCHEDULE_DEGRADE_<mix>_<mode>.json` timelines (default
-//! `target/degrade`), and exits nonzero unless jobs are conserved,
-//! every deadline outcome is typed, the degraded run reproduces its
-//! digest, the top tenant's p95 improves at 5×, and the real
-//! checkpointed executor resumes bit-identically across every panel
-//! boundary.
-//! `crash [--mix small|hetero] [--out DIR]` runs the durable-journal
-//! kill-point ladder at 5× load: 25 seeded crash/restart cycles
-//! (at-admission, mid-batch, torn mid-append, mid-checkpoint), each
-//! restart reopening the journal and resubmitting the whole stream,
-//! then a crash-free drain compared against a crash-free control. It
-//! writes `CRASH_<mix>.json`, the journal/recovery Prometheus
-//! exposition `CRASH_<mix>.prom`, and the final epoch's
-//! `SCHEDULE_CRASH_<mix>.json` timeline (default `target/crash`), and
-//! exits nonzero unless every armed cycle crashed, the terminal ledgers
-//! match the control exactly (same keys, bit-identical digests), at
-//! least one torn tail was truncated, replay stayed bounded, and the
-//! rerun ladder reproduces the document byte-for-byte.
-//! `insight [--out DIR]` replays the recorded schedules of the four
-//! paper shapes under virtual interventions (communication free, one
-//! link free, one device's GEMMs doubled), writes the ranked
-//! opportunity tables and sensitivity curves as `INSIGHT_<shape>.json`,
-//! and drives the hetero mix with a per-tenant SLO burn-rate policy —
-//! a healthy 1× control against a degraded 5× stampede — writing
-//! `INSIGHT_slo_hetero.json`, the Prometheus exposition, and the
-//! alert-annotated Perfetto timeline (default `target/insight`); it
-//! exits nonzero unless the comm-free replay matches the analyzer's
-//! compute bound within 1% and the control is silent while the
-//! stampede alerts. `insight --check DIR [--tol FRACTION]` instead
-//! reruns the suite and compares against the like-named baselines.
-//! `all` runs every text command plus the trace, recovery, abft, bench,
-//! soak, serve, degrade, crash, and insight exporters.
+//! Text commands print whitespace-aligned tables: one row per problem
+//! size with one column per shape (for the figure commands), matching the
+//! series the paper plots. `fig5`, `fig6`, `fig7`, `fig8`, `summary` and
+//! `recovery` also take `--json` for a schema-stamped document. `verify`
+//! is the n = 48 every-algorithm self-check; `recovery` runs the seeded
+//! shrink-and-retry grid and prints the analytical failure model.
+//!
+//! The harness subcommands live in one table ([`HARNESSES`]): each writes
+//! its artifacts into `--out DIR` (default `target/<name>`) and fails when
+//! one of its own gates does (see each module's docs for the artifacts and
+//! gates):
+//!
+//! * `trace` — Perfetto traces, metrics and critical paths (`tracecmd`);
+//! * `abft` — ABFT overhead summaries and traces (`resilience`);
+//! * `bench [--backend channel|tcp]` — `BENCH_<shape>.json` regression
+//!   documents and flamegraphs (`benchcmd`);
+//! * `soak [--backend channel|tcp]` — lossy-link and silent-hang soak,
+//!   `SOAK_<shape>.json` (`soak`);
+//! * `serve [--mix small|hetero] [--policy fifo|rr|fpm] [--jobs N]` —
+//!   multi-tenant service load gate, `LOAD_<mix>.json` (`servecmd`);
+//! * `degrade [--mix small|hetero]` — overload and device faults,
+//!   `DEGRADE_<mix>.json` (`degradecmd`);
+//! * `crash [--mix small|hetero]` — durable-journal kill-point ladder,
+//!   `CRASH_<mix>.json` (`crashcmd`);
+//! * `insight` — what-if replay and SLO burn-rate gates,
+//!   `INSIGHT_*.json` (`insightcmd`).
+//!
+//! `bench --check DIR [--tol FRACTION]` and `insight --check DIR [--tol
+//! FRACTION]` instead rerun the harness and compare every numeric leaf
+//! against the like-named baselines in DIR (`harness::check_docs`).
+//! `all` runs every text command but `verify`, then every harness.
+//!
+//! Exit codes: 2 for bad arguments (unknown subcommand, flag, mix,
+//! backend or policy, or a flag missing its value); 1 when a harness gate,
+//! a `--check` comparison or an artifact write fails.
 
 use std::env;
+use std::path::Path;
 use std::str::FromStr;
 
 use summagen_comm::Backend;
+use summagen_service::{LoadMix, Policy};
 
+use summagen_bench::harness::{resolve_mix, CheckError, CheckOutcome, DEFAULT_CHECK_TOLERANCE};
 use summagen_bench::*;
 use summagen_partition::ALL_FOUR_SHAPES;
 
+/// Everything the command line sets besides the subcommand.
+struct Opts {
+    json: bool,
+    out: Option<String>,
+    check: Option<String>,
+    tol: f64,
+    backend: Backend,
+    mix: LoadMix,
+    policy: Option<Policy>,
+    jobs: Option<usize>,
+}
+
+/// A `--check` rerun against a baseline directory.
+type CheckFn = fn(&Opts, &Path) -> Result<CheckOutcome, CheckError>;
+
+/// A harness subcommand: its run, writing into `--out` (default
+/// `target/<name>`), and (for `bench` and `insight`) its `--check` rerun.
+struct Harness {
+    name: &'static str,
+    run: fn(&Opts, &Path) -> Result<(), String>,
+    check: Option<CheckFn>,
+}
+
+const HARNESSES: [Harness; 8] = [
+    Harness {
+        name: "trace",
+        run: |_, out| tracecmd::run_trace(tracecmd::TRACE_N, out),
+        check: None,
+    },
+    Harness {
+        name: "abft",
+        run: |_, out| resilience::run_abft(resilience::ABFT_N, out),
+        check: None,
+    },
+    Harness {
+        name: "bench",
+        run: |o, out| benchcmd::run_bench(out, o.backend),
+        check: Some(|o, dir| benchcmd::check_bench(dir, o.tol, o.backend)),
+    },
+    Harness {
+        name: "soak",
+        run: |o, out| soak::run_soak(soak::SOAK_N, out, o.backend),
+        check: None,
+    },
+    Harness {
+        name: "serve",
+        run: |o, out| {
+            let mut mix = o.mix.clone();
+            if let Some(jobs) = o.jobs {
+                mix.jobs = jobs;
+            }
+            servecmd::run_serve(&mix, o.policy, out)
+        },
+        check: None,
+    },
+    Harness {
+        name: "degrade",
+        run: |o, out| degradecmd::run_degrade(&o.mix, out),
+        check: None,
+    },
+    Harness {
+        name: "crash",
+        run: |o, out| crashcmd::run_crash(&o.mix, out),
+        check: None,
+    },
+    Harness {
+        name: "insight",
+        run: |_, out| insightcmd::run_insight(tracecmd::TRACE_N, out),
+        check: Some(|o, dir| insightcmd::check_insight(dir, o.tol)),
+    },
+];
+
+/// The text commands, in `all` order.
+const TEXT: [(&str, fn()); 17] = [
+    ("table1", || print!("{}", table1())),
+    ("fig1", || print!("{}", fig1())),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("summary", summary),
+    ("crossover", crossover),
+    ("nrrp", nrrp),
+    ("energyopt", energyopt),
+    ("summa", summa),
+    ("cluster", cluster),
+    ("exact", exact),
+    ("auto", auto_gen),
+    ("fig5measured", fig5measured),
+    ("verify", verify),
+    ("recovery", recovery),
+];
+
+/// Reports a bad command line and exits 2.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The value following the flag at `args[*i]`, advancing past it; exits
+/// 2 with `missing` when there is none.
+fn flag_value<'a>(args: &'a [String], i: &mut usize, missing: &str) -> &'a str {
+    *i += 1;
+    args.get(*i)
+        .map(String::as_str)
+        .unwrap_or_else(|| usage_error(missing))
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    let mut json = false;
-    let mut out_dir: Option<String> = None;
-    let mut check_dir: Option<String> = None;
-    let mut tol: Option<f64> = None;
-    let mut backend = Backend::default();
-    let mut mix = "small".to_string();
-    let mut policy: Option<summagen_service::Policy> = None;
-    let mut jobs: Option<usize> = None;
+    let mut opts = Opts {
+        json: false,
+        out: None,
+        check: None,
+        tol: DEFAULT_CHECK_TOLERANCE,
+        backend: Backend::default(),
+        mix: summagen_service::small_mix(),
+        policy: None,
+        jobs: None,
+    };
     let mut what: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--json" => json = true,
+            "--json" => opts.json = true,
             "--out" => {
-                if let Some(v) = args.get(i + 1) {
-                    out_dir = Some(v.clone());
-                    i += 1;
-                } else {
-                    eprintln!("--out requires a directory argument");
-                    std::process::exit(2);
-                }
+                let v = flag_value(&args, &mut i, "--out requires a directory argument");
+                opts.out = Some(v.to_string());
             }
             "--check" => {
-                if let Some(v) = args.get(i + 1) {
-                    check_dir = Some(v.clone());
-                    i += 1;
-                } else {
-                    eprintln!("--check requires a baseline directory argument");
-                    std::process::exit(2);
-                }
+                let msg = "--check requires a baseline directory argument";
+                opts.check = Some(flag_value(&args, &mut i, msg).to_string());
             }
             "--backend" => {
-                match args.get(i + 1).map(|v| Backend::from_str(v)) {
-                    Some(Ok(b)) => backend = b,
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--backend requires 'channel' or 'tcp'");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
+                let v = flag_value(&args, &mut i, "--backend requires 'channel' or 'tcp'");
+                opts.backend = Backend::from_str(v).unwrap_or_else(|e| usage_error(e));
             }
             "--mix" => {
-                if let Some(v) = args.get(i + 1) {
-                    mix = v.clone();
-                    i += 1;
-                } else {
-                    eprintln!("--mix requires a mix name (small or hetero)");
-                    std::process::exit(2);
-                }
+                let v = flag_value(&args, &mut i, "--mix requires a mix name (small or hetero)");
+                opts.mix = resolve_mix(v).unwrap_or_else(|e| usage_error(e));
             }
             "--policy" => {
-                match args
-                    .get(i + 1)
-                    .map(|v| summagen_service::Policy::from_str(v))
-                {
-                    Some(Ok(p)) => policy = Some(p),
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!("--policy requires fifo, round-robin, or fpm-aware");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
+                let msg = "--policy requires fifo, round-robin, or fpm-aware";
+                let v = flag_value(&args, &mut i, msg);
+                opts.policy = Some(Policy::from_str(v).unwrap_or_else(|e| usage_error(e)));
             }
             "--jobs" => {
-                match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                    Some(v) if v > 0 => jobs = Some(v),
-                    _ => {
-                        eprintln!("--jobs requires a positive integer");
-                        std::process::exit(2);
-                    }
+                let msg = "--jobs requires a positive integer";
+                match flag_value(&args, &mut i, msg).parse::<usize>() {
+                    Ok(v) if v > 0 => opts.jobs = Some(v),
+                    _ => usage_error(msg),
                 }
-                i += 1;
             }
             "--tol" => {
-                match args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) {
-                    Some(v) if v >= 0.0 => tol = Some(v),
-                    _ => {
-                        eprintln!("--tol requires a non-negative fraction (e.g. 0.05)");
-                        std::process::exit(2);
-                    }
+                let msg = "--tol requires a non-negative fraction (e.g. 0.05)";
+                match flag_value(&args, &mut i, msg).parse::<f64>() {
+                    Ok(v) if v >= 0.0 => opts.tol = v,
+                    _ => usage_error(msg),
                 }
-                i += 1;
             }
             a if !a.starts_with("--") && what.is_none() => what = Some(a.to_string()),
-            other => {
-                eprintln!("unknown argument '{other}'");
-                std::process::exit(2);
-            }
+            other => usage_error(format!("unknown argument '{other}'")),
         }
         i += 1;
     }
     let what = what.as_deref().unwrap_or("all");
-    if json {
+    if opts.json {
         return emit_json(what);
     }
-    match what {
-        "table1" => print!("{}", table1()),
-        "fig1" => print!("{}", fig1()),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "fig7" => fig7(),
-        "fig8" => fig8(),
-        "summary" => summary(),
-        "crossover" => crossover(),
-        "nrrp" => nrrp(),
-        "energyopt" => energyopt(),
-        "summa" => summa(),
-        "cluster" => cluster(),
-        "exact" => exact(),
-        "auto" => auto_gen(),
-        "fig5measured" => fig5measured(),
-        "verify" => verify(),
-        "recovery" => recovery(),
-        "trace" => trace(out_dir.as_deref().unwrap_or("target/trace")),
-        "abft" => abft(out_dir.as_deref().unwrap_or("target/abft")),
-        "bench" => bench(
-            out_dir.as_deref().unwrap_or("target/bench"),
-            check_dir.as_deref(),
-            tol,
-            backend,
-        ),
-        "soak" => soak(out_dir.as_deref().unwrap_or("target/soak"), backend),
-        "serve" => serve(
-            &mix,
-            policy,
-            jobs,
-            out_dir.as_deref().unwrap_or("target/serve"),
-        ),
-        "degrade" => degrade(&mix, out_dir.as_deref().unwrap_or("target/degrade")),
-        "crash" => crash(&mix, out_dir.as_deref().unwrap_or("target/crash")),
-        "insight" => insight(
-            out_dir.as_deref().unwrap_or("target/insight"),
-            check_dir.as_deref(),
-            tol,
-        ),
-        "all" => {
-            print!("{}", table1());
-            println!();
-            print!("{}", fig1());
-            fig5();
-            fig6();
-            fig7();
-            fig8();
-            summary();
-            crossover();
-            nrrp();
-            energyopt();
-            summa();
-            cluster();
-            exact();
-            auto_gen();
-            fig5measured();
-            recovery();
-            trace(out_dir.as_deref().unwrap_or("target/trace"));
-            abft(out_dir.as_deref().unwrap_or("target/abft"));
-            bench(
-                out_dir.as_deref().unwrap_or("target/bench"),
-                None,
-                tol,
-                backend,
+    if what == "all" {
+        for (name, print) in TEXT.iter().filter(|(name, _)| *name != "verify") {
+            print();
+            if *name == "table1" {
+                println!();
+            }
+        }
+        for h in &HARNESSES {
+            run_or_exit(h, &opts, None);
+        }
+    } else if let Some((_, print)) = TEXT.iter().find(|(name, _)| *name == what) {
+        print();
+    } else if let Some(h) = HARNESSES.iter().find(|h| h.name == what) {
+        run_or_exit(h, &opts, opts.check.as_deref());
+    } else {
+        let names: Vec<&str> = TEXT
+            .iter()
+            .map(|(name, _)| *name)
+            .chain(HARNESSES.iter().map(|h| h.name))
+            .chain(["all"])
+            .collect();
+        usage_error(format!(
+            "unknown figure '{what}'; expected one of: {}",
+            names.join(" ")
+        ));
+    }
+}
+
+/// Runs one harness — or, given a baseline directory and a harness that
+/// supports it, its `--check` rerun — and exits 1 with the error on
+/// failure. The one exit path for harness errors.
+fn run_or_exit(h: &Harness, opts: &Opts, check_dir: Option<&str>) {
+    let result = match (check_dir, h.check) {
+        (Some(dir), Some(check)) => {
+            report_check(h.name, dir, opts.tol, check(opts, Path::new(dir)))
+        }
+        _ => {
+            let out = opts.out.clone().unwrap_or(format!("target/{}", h.name));
+            (h.run)(opts, Path::new(&out))
+                .map_err(|e| format!("{} run to '{out}' failed: {e}", h.name))
+        }
+    };
+    if let Err(e) = result {
+        eprintln!("{e}");
+        std::process::exit(1);
+    }
+}
+
+/// Prints a passing `--check` outcome; turns a failing or unrunnable one
+/// into the error text: every violation, then the worst-drifting leaf.
+fn report_check(
+    name: &str,
+    dir: &str,
+    tol: f64,
+    outcome: Result<CheckOutcome, CheckError>,
+) -> Result<(), String> {
+    match outcome {
+        Ok(outcome) if outcome.violations.is_empty() => {
+            println!(
+                "{name} check passed: all metrics within ±{:.2}%",
+                100.0 * tol
             );
-            soak(out_dir.as_deref().unwrap_or("target/soak"), backend);
-            serve(
-                &mix,
-                policy,
-                jobs,
-                out_dir.as_deref().unwrap_or("target/serve"),
+            Ok(())
+        }
+        Ok(outcome) => {
+            let mut msg = format!(
+                "{name} check FAILED ({} violations):",
+                outcome.violations.len()
             );
-            degrade(&mix, out_dir.as_deref().unwrap_or("target/degrade"));
-            crash(&mix, out_dir.as_deref().unwrap_or("target/crash"));
-            insight(out_dir.as_deref().unwrap_or("target/insight"), None, tol);
+            for v in &outcome.violations {
+                msg.push_str(&format!("\n  {v}"));
+            }
+            if let Some(worst) = &outcome.worst {
+                msg.push_str(&format!("\n  worst drift: {worst}"));
+            }
+            Err(msg)
         }
-        other => {
-            eprintln!(
-                "unknown figure '{other}'; expected one of: table1 fig1 fig5 fig6 fig7 fig8 summary crossover nrrp energyopt summa cluster exact auto fig5measured verify recovery trace abft bench soak serve degrade crash insight all"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Causal what-if profiles of the four paper shapes plus the SLO
-/// burn-rate scenario, or — with `--check DIR` — a rerun compared
-/// against committed baselines (see `insightcmd`).
-fn insight(out_dir: &str, check_dir: Option<&str>, tol: Option<f64>) {
-    use summagen_bench::{benchcmd, insightcmd};
-    let tol = tol.unwrap_or(benchcmd::DEFAULT_CHECK_TOLERANCE);
-    match check_dir {
-        Some(dir) => match insightcmd::check_insight(std::path::Path::new(dir), tol) {
-            Ok(outcome) if outcome.violations.is_empty() => {
-                println!(
-                    "insight check passed: all metrics within ±{:.2}%",
-                    100.0 * tol
-                );
-            }
-            Ok(outcome) => {
-                eprintln!(
-                    "insight check FAILED ({} violations):",
-                    outcome.violations.len()
-                );
-                for v in &outcome.violations {
-                    eprintln!("  {v}");
-                }
-                if let Some(worst) = &outcome.worst {
-                    eprintln!("  worst drift: {worst}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("insight check against '{dir}' failed to run: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            if let Err(e) = insightcmd::run_insight(
-                summagen_bench::tracecmd::TRACE_N,
-                std::path::Path::new(out_dir),
-            ) {
-                eprintln!("insight run to '{out_dir}' failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Graceful-degradation comparison under overload and seeded device
-/// faults: baseline vs the full degradation layer at 1×/2×/5× load,
-/// with the acceptance gates of `degradecmd`.
-fn degrade(mix: &str, out_dir: &str) {
-    use summagen_bench::degradecmd;
-    if let Err(e) = degradecmd::run_degrade(mix, std::path::Path::new(out_dir)) {
-        eprintln!("degrade run to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Durable-journal kill-point ladder: 25 seeded crash/restart cycles
-/// against a crash-free control, with the exactly-once, torn-tail, and
-/// bounded-replay acceptance gates of `crashcmd`.
-fn crash(mix: &str, out_dir: &str) {
-    use summagen_bench::crashcmd;
-    if let Err(e) = crashcmd::run_crash(mix, std::path::Path::new(out_dir)) {
-        eprintln!("crash run to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Instrumented runs of the four paper shapes: Perfetto trace files,
-/// metrics summaries, and critical-path tables (see `tracecmd`).
-fn trace(out_dir: &str) {
-    use summagen_bench::tracecmd;
-    if let Err(e) = tracecmd::run_trace(tracecmd::TRACE_N, std::path::Path::new(out_dir)) {
-        eprintln!("trace export to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Checksum-protected runs of the four paper shapes: ABFT overhead
-/// summaries and Perfetto traces of the resilience spans (see
-/// `resilience`).
-fn abft(out_dir: &str) {
-    use summagen_bench::resilience;
-    if let Err(e) = resilience::run_abft(resilience::ABFT_N, std::path::Path::new(out_dir)) {
-        eprintln!("abft export to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Seeded lossy-link chaos soak: wire drops/duplicates/reorders/delays
-/// with the heartbeat detector armed, plus a silent-hang recovery per
-/// shape, writing `SOAK_<shape>.json` summaries (see `soak`). The
-/// backend selects the wire the chaos runs over: in-process channels
-/// (default) or loopback TCP.
-fn soak(out_dir: &str, backend: Backend) {
-    use summagen_bench::soak;
-    if let Err(e) = soak::run_soak(soak::SOAK_N, std::path::Path::new(out_dir), backend) {
-        eprintln!("soak export to '{out_dir}' failed: {e}");
-        std::process::exit(1);
-    }
-}
-
-/// Regression harness: writes `BENCH_<shape>.json` + flamegraphs, or —
-/// with `--check DIR` — reruns and compares against committed baselines,
-/// exiting nonzero on any out-of-tolerance metric (see `benchcmd`).
-fn bench(out_dir: &str, check_dir: Option<&str>, tol: Option<f64>, backend: Backend) {
-    use summagen_bench::benchcmd;
-    let tol = tol.unwrap_or(benchcmd::DEFAULT_CHECK_TOLERANCE);
-    match check_dir {
-        Some(dir) => match benchcmd::check_bench(std::path::Path::new(dir), tol, backend) {
-            Ok(outcome) if outcome.violations.is_empty() => {
-                println!(
-                    "bench check passed: all metrics within ±{:.2}%",
-                    100.0 * tol
-                );
-            }
-            Ok(outcome) => {
-                eprintln!(
-                    "bench check FAILED ({} violations):",
-                    outcome.violations.len()
-                );
-                for v in &outcome.violations {
-                    eprintln!("  {v}");
-                }
-                if let Some(worst) = &outcome.worst {
-                    eprintln!("  worst drift: {worst}");
-                }
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("bench check against '{dir}' failed to run: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => {
-            if let Err(e) = benchcmd::run_bench(std::path::Path::new(out_dir), backend) {
-                eprintln!("bench export to '{out_dir}' failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-}
-
-/// Multi-tenant GEMM service load run: seeded tenant mix through each
-/// scheduling policy, per-tenant latency artifacts, schedule Perfetto
-/// timelines, and the FPM-beats-FIFO gate (see `servecmd`).
-fn serve(mix: &str, policy: Option<summagen_service::Policy>, jobs: Option<usize>, out_dir: &str) {
-    use summagen_bench::servecmd;
-    if let Err(e) = servecmd::run_serve(mix, policy, jobs, std::path::Path::new(out_dir)) {
-        eprintln!("serve run to '{out_dir}' failed: {e}");
-        std::process::exit(1);
+        Err(e) => Err(format!("{name} check against '{dir}' failed to run: {e}")),
     }
 }
 
@@ -744,10 +626,7 @@ fn emit_json(what: &str) {
             "command".to_string(),
             Json::from(format!("reproduce {what} --json")),
         ),
-        (
-            "cpm_speeds".to_string(),
-            Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-        ),
+        ("cpm_speeds".to_string(), harness::cpm_speeds_json()),
     ];
     if what == "fig7" {
         config.push(("fpm_grid_steps".to_string(), Json::from(FPM_GRID_STEPS)));
@@ -806,92 +685,38 @@ fn fig5measured() {
     }
 }
 
-/// Fault-tolerance demo: runs every paper shape under seeded fault plans
-/// through `multiply_with_recovery` and reports how each run ended, then
-/// prints the analytical device-failure model the recovery policy targets.
+/// Fault-tolerance demo: the seeded `(shape, seed)` grid of
+/// [`resilience::recovery_series`] as a table, then the analytical
+/// device-failure model the recovery policy targets.
 fn recovery() {
-    use std::time::Duration;
-    use summagen_comm::{FaultPlan, ZeroCost};
-    use summagen_core::{multiply_with_recovery, ExecutionMode, RecoveryOptions};
-    use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix};
     use summagen_platform::{
         degraded_capacity, expected_runtime_with_restarts, fleet_survival, DeviceKind, FailureModel,
     };
 
     let n = 32;
-    let a = random_matrix(n, n, 41);
-    let b = random_matrix(n, n, 42);
-    let mut want = DenseMatrix::zeros(n, n);
-    gemm_naive(
-        n,
-        n,
-        n,
-        1.0,
-        a.as_slice(),
-        n,
-        b.as_slice(),
-        n,
-        0.0,
-        want.as_mut_slice(),
-        n,
-    );
-    let opts = RecoveryOptions {
-        max_attempts: 3,
-        retry_backoff: 0.25,
-        recv_timeout: Duration::from_millis(500),
-        ..RecoveryOptions::default()
-    };
-
     println!("\nROBUSTNESS — shrink-and-retry recovery under seeded fault plans (n = {n})");
     println!(
         "{:>20}{:>6}{:>12}{:>10}{:>10}{:>10}{:>12}",
         "shape", "seed", "outcome", "attempts", "failed", "capacity", "max err"
     );
-    for shape in ALL_FOUR_SHAPES {
-        for seed in 1..=3u64 {
-            let plan = FaultPlan::seeded(seed, 3);
-            let row = match multiply_with_recovery(
-                shape,
-                &CPM_SPEEDS,
-                &a,
-                &b,
-                ExecutionMode::Real,
-                ZeroCost,
-                std::slice::from_ref(&plan),
-                &opts,
-            ) {
-                Ok(res) => {
-                    let err = max_abs_diff(&res.c, &want);
-                    match &res.recovery {
-                        Some(rep) => format!(
-                            "{:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10.2}{err:>12.2e}",
-                            shape.name(),
-                            "recovered",
-                            rep.attempts,
-                            format!("{:?}", rep.failed_devices),
-                            degraded_capacity(&CPM_SPEEDS, &rep.failed_devices),
-                        ),
-                        None => format!(
-                            "{:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10.2}{err:>12.2e}",
-                            shape.name(),
-                            "clean",
-                            1,
-                            "[]",
-                            1.0,
-                        ),
-                    }
-                }
-                Err(e) => format!(
-                    "{:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10}{:>12}",
-                    shape.name(),
-                    "error",
-                    "-",
-                    "-",
-                    "-",
-                    format!("{e:.30}"),
-                ),
-            };
-            println!("{row}");
+    for r in resilience::recovery_series(n, &[1, 2, 3]) {
+        let (shape, seed) = (r.shape.name(), r.seed);
+        match (r.max_err, r.error) {
+            (Some(err), _) => println!(
+                "{shape:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10.2}{err:>12.2e}",
+                r.outcome,
+                r.attempts,
+                format!("{:?}", r.failed_devices),
+                degraded_capacity(&CPM_SPEEDS, &r.failed_devices),
+            ),
+            (None, e) => println!(
+                "{shape:>20}{seed:>6}{:>12}{:>10}{:>10}{:>10}{:>12}",
+                r.outcome,
+                "-",
+                "-",
+                "-",
+                e.unwrap_or_default(),
+            ),
         }
     }
 
@@ -931,28 +756,14 @@ fn verify() {
         summa_cyclic_multiply, summa_multiply, BlockCyclic, ExecutionMode,
     };
     use summagen_matrix::{
-        gemm_naive, max_abs_diff, ooc_gemm, random_matrix, strassen_multiply, DenseMatrix,
-        GemmKernel,
+        max_abs_diff, ooc_gemm, random_matrix, strassen_multiply, DenseMatrix, GemmKernel,
     };
     use summagen_partition::{nrrp_layout, proportional_areas};
 
     let n = 48;
     let a = random_matrix(n, n, 1);
     let b = random_matrix(n, n, 2);
-    let mut want = DenseMatrix::zeros(n, n);
-    gemm_naive(
-        n,
-        n,
-        n,
-        1.0,
-        a.as_slice(),
-        n,
-        b.as_slice(),
-        n,
-        0.0,
-        want.as_mut_slice(),
-        n,
-    );
+    let want = resilience::reference(&a, &b);
 
     println!("\nVERIFY — every algorithm vs the sequential reference (n = {n})");
     let check = |name: &str, c: &DenseMatrix| {

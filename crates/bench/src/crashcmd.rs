@@ -47,26 +47,22 @@
 //! * the artifact seed's whole ladder, rerun from scratch, reproduces
 //!   the `CRASH_<mix>.json` document exactly.
 
-use std::fs;
-use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use summagen_durable::{
     decode_frames, replay, CrashKind, CrashSpec, GroupCommitConfig, Journal, RecoveredState,
     TerminalRecord,
 };
-use summagen_metrics::MetricsRegistry;
-use summagen_platform::profile::hclserver1;
 use summagen_service::{
-    generate, mix_by_name, AdmissionConfig, DevicePool, DurableRun, FaultProfile, GemmService,
-    LoadMix, Policy, RecoveryStats, ServiceConfig, ServiceMetrics, ServiceReport,
+    generate, AdmissionConfig, DurableRun, FaultProfile, GemmService, LoadMix, Policy,
+    RecoveryStats, ServiceConfig, ServiceReport,
 };
-use summagen_trace::{perfetto_json, TraceRecorder};
+use summagen_trace::perfetto_json;
 
 use crate::degradecmd::scaled_mix;
+use crate::harness::{chaos_seeds, write_artifacts};
 use crate::json::{with_metadata, Json};
-use crate::servecmd::{SERVE_ALPHA, SERVE_BETA};
+use crate::servecmd::{instrumented_service, service_pool, SERVE_ALPHA, SERVE_BETA};
 
 /// Arrival-rate multiplier of the crash runs: the gated stampede factor
 /// of the degrade sweep, so crashes land while queues are deep.
@@ -97,20 +93,6 @@ pub const CRASH_BASE_SEEDS: [u64; 1] = [7];
 /// [`CRASH_MAX_EVENT`] keeps far below this).
 pub const CRASH_REPLAY_SLACK_PER_CYCLE: usize = 64;
 
-/// The seed list with any `SUMMAGEN_CHAOS_SEED` from the environment
-/// folded in (same convention as the degrade and soak grids).
-pub fn crash_seeds() -> Vec<u64> {
-    let mut seeds = CRASH_BASE_SEEDS.to_vec();
-    if let Ok(v) = std::env::var("SUMMAGEN_CHAOS_SEED") {
-        if let Ok(s) = v.trim().parse::<u64>() {
-            if !seeds.contains(&s) {
-                seeds.push(s);
-            }
-        }
-    }
-    seeds
-}
-
 /// Service config of the crash harness. Admission bounds are ample on
 /// purpose: the exactly-once gates compare terminal ledgers between the
 /// ladder and the control, which is only meaningful when *every* job
@@ -132,10 +114,6 @@ pub fn crash_config(fault_seed: u64) -> ServiceConfig {
         },
         ..ServiceConfig::default()
     }
-}
-
-fn pool() -> DevicePool {
-    DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA)
 }
 
 /// One armed cycle of the ladder: the kill point that fired and what
@@ -186,7 +164,7 @@ pub struct ControlRun {
 /// Runs the control: one journaled epoch, no crashes, whole stream.
 pub fn run_control(mix: &LoadMix, seed: u64) -> Result<ControlRun, String> {
     let jobs = generate(mix);
-    let mut service = GemmService::new(pool(), crash_config(seed));
+    let mut service = GemmService::new(service_pool(), crash_config(seed));
     match service.run_durable(jobs, Journal::new(GroupCommitConfig::default()), None) {
         DurableRun::Finished(rep) => Ok(ControlRun {
             state: replay(rep.journal.durable()).state,
@@ -212,7 +190,7 @@ pub fn run_ladder(
     let mut outcomes = Vec::new();
     for cycle in 0..cycles {
         let spec = CrashSpec::draw(seed, cycle, max_event);
-        let mut service = GemmService::new(pool(), crash_config(seed));
+        let mut service = GemmService::new(service_pool(), crash_config(seed));
         match service.recover(journal, jobs.clone(), Some(spec)) {
             DurableRun::Finished(_) => {
                 return Err(format!(
@@ -237,15 +215,7 @@ pub fn run_ladder(
     }
 
     // The final epoch drains crash-free, instrumented for the artifacts.
-    let pool = pool();
-    let tenant_names = mix.tenant_names();
-    let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
-    let recorder = TraceRecorder::new(pool.devices().len());
-    let mut service = GemmService::new(pool, crash_config(seed))
-        .with_metrics(metrics)
-        .with_sink(recorder.clone());
+    let (mut service, registry, recorder) = instrumented_service(mix, crash_config(seed));
     match service.recover(journal, jobs, None) {
         DurableRun::Finished(rep) => Ok(CrashLadder {
             cycles: outcomes,
@@ -562,15 +532,13 @@ fn print_ladder(mix: &LoadMix, seed: u64, ladder: &CrashLadder, control: &Contro
     );
 }
 
-/// Runs the crash experiment for `mix_name`, artifacts into `out_dir`.
+/// Runs the crash experiment for `mix`, artifacts into `out_dir`.
 /// The artifacts use the base seed; the gates additionally cover every
 /// folded chaos seed, and the artifact seed's ladder is rerun from
 /// scratch to pin the document's reproducibility.
-pub fn run_crash(mix_name: &str, out_dir: &Path) -> Result<(), String> {
-    let mix = mix_by_name(mix_name)
-        .ok_or_else(|| format!("unknown mix '{mix_name}'; expected small or hetero"))?;
-    let scaled = scaled_mix(&mix, CRASH_LOAD_FACTOR);
-    let seeds = crash_seeds();
+pub fn run_crash(mix: &LoadMix, out_dir: &Path) -> Result<(), String> {
+    let scaled = scaled_mix(mix, CRASH_LOAD_FACTOR);
+    let seeds = chaos_seeds(&CRASH_BASE_SEEDS);
     let artifact_seed = seeds[0];
 
     let mut artifact: Option<(CrashLadder, ControlRun)> = None;
@@ -599,19 +567,19 @@ pub fn run_crash(mix_name: &str, out_dir: &Path) -> Result<(), String> {
     }
     println!("  rerun with seed {artifact_seed}: document reproduced byte-for-byte");
 
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
-    let doc_path = out_dir.join(format!("CRASH_{}.json", scaled.name));
-    fs::write(&doc_path, doc.pretty()).map_err(|e| io_err(&doc_path, &e))?;
-    let prom_path = out_dir.join(format!("CRASH_{}.prom", scaled.name));
-    fs::write(&prom_path, &ladder.exposition).map_err(|e| io_err(&prom_path, &e))?;
-    let sched_path = out_dir.join(format!("SCHEDULE_CRASH_{}.json", scaled.name));
-    fs::write(&sched_path, &ladder.perfetto).map_err(|e| io_err(&sched_path, &e))?;
+    write_artifacts(
+        out_dir,
+        &[
+            (format!("CRASH_{}.json", scaled.name), &doc.pretty()),
+            (format!("CRASH_{}.prom", scaled.name), &ladder.exposition),
+            (
+                format!("SCHEDULE_CRASH_{}.json", scaled.name),
+                &ladder.perfetto,
+            ),
+        ],
+    )?;
     println!("crash artifacts written to {}", out_dir.display());
     Ok(())
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
 }
 
 #[cfg(test)]
@@ -716,7 +684,7 @@ mod tests {
 
     #[test]
     fn chaos_seed_env_widens_the_grid() {
-        let seeds = crash_seeds();
+        let seeds = chaos_seeds(&CRASH_BASE_SEEDS);
         assert!(seeds.contains(&CRASH_BASE_SEEDS[0]));
     }
 }

@@ -35,25 +35,21 @@
 //!   product bit-for-bit (the contract the service's checkpoint
 //!   preemption model stands on).
 
-use std::fs;
-use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use summagen_comm::HockneyModel;
 use summagen_core::{multiply_abft_prefix, panel_boundaries, AbftOptions, ExecutionMode};
 use summagen_matrix::random_matrix;
-use summagen_metrics::MetricsRegistry;
 use summagen_partition::ALL_FOUR_SHAPES;
-use summagen_platform::profile::hclserver1;
 use summagen_service::{
-    generate, mix_by_name, DeadlineVerdict, DegradeConfig, DevicePool, FaultProfile, GemmService,
-    JobSpec, LoadMix, Policy, ServiceConfig, ServiceMetrics, ServiceReport,
+    generate, DeadlineVerdict, DegradeConfig, FaultProfile, JobSpec, LoadMix, Policy,
+    ServiceConfig, ServiceReport,
 };
-use summagen_trace::{perfetto_json, TraceRecorder};
+use summagen_trace::perfetto_json;
 
+use crate::harness::{chaos_seeds, write_artifacts};
 use crate::json::{with_metadata, Json};
-use crate::servecmd::{SERVE_ALPHA, SERVE_BETA};
+use crate::servecmd::{instrumented_service, SERVE_ALPHA, SERVE_BETA};
 
 /// Arrival-rate multipliers of the sweep, mildest first. The last one is
 /// the gated stampede.
@@ -85,20 +81,6 @@ pub fn degrade_config() -> DegradeConfig {
     config
 }
 
-/// The seed list with any `SUMMAGEN_CHAOS_SEED` from the environment
-/// folded in (same convention as the soak grid).
-pub fn degrade_seeds() -> Vec<u64> {
-    let mut seeds = DEGRADE_BASE_SEEDS.to_vec();
-    if let Ok(v) = std::env::var("SUMMAGEN_CHAOS_SEED") {
-        if let Ok(s) = v.trim().parse::<u64>() {
-            if !seeds.contains(&s) {
-                seeds.push(s);
-            }
-        }
-    }
-    seeds
-}
-
 /// One (load factor, mode) run.
 pub struct DegradeRun {
     /// The service report.
@@ -122,12 +104,6 @@ pub fn scaled_mix(mix: &LoadMix, factor: f64) -> LoadMix {
 /// pool, with the degradation layer armed or not.
 pub fn run_mode(mix: &LoadMix, factor: f64, fault_seed: u64, degraded: bool) -> DegradeRun {
     let scaled = scaled_mix(mix, factor);
-    let pool = DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA);
-    let tenant_names = scaled.tenant_names();
-    let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
-    let recorder = TraceRecorder::new(pool.devices().len());
     let config = ServiceConfig {
         policy: Policy::FpmAware,
         faults: FaultProfile {
@@ -142,20 +118,26 @@ pub fn run_mode(mix: &LoadMix, factor: f64, fault_seed: u64, degraded: bool) -> 
         },
         ..ServiceConfig::default()
     };
-    let mut service = GemmService::new(pool, config)
-        .with_metrics(metrics)
-        .with_sink(recorder.clone());
+    let (mut service, _, recorder) = instrumented_service(&scaled, config);
     let report = service.run(generate(&scaled));
-    let trace = recorder.finish();
-    let mode = if degraded { "degraded" } else { "baseline" };
+    let mode = mode_label(degraded);
     DegradeRun {
         perfetto: perfetto_json(
-            &trace,
+            &recorder.finish(),
             &format!("{} degrade schedule ({factor}x, {mode})", mix.name),
         ),
         report,
         degraded,
         load_factor: factor,
+    }
+}
+
+/// The artifact label of a comparison mode.
+fn mode_label(degraded: bool) -> &'static str {
+    if degraded {
+        "degraded"
+    } else {
+        "baseline"
     }
 }
 
@@ -269,10 +251,7 @@ fn mode_json(mix: &LoadMix, run: &DegradeRun) -> Json {
     let report = &run.report;
     let tenants = report.tenant_summaries(mix.tenants.len());
     Json::obj([
-        (
-            "mode",
-            Json::from(if run.degraded { "degraded" } else { "baseline" }),
-        ),
+        ("mode", Json::from(mode_label(run.degraded))),
         ("makespan_s", Json::from(report.makespan)),
         ("completed", Json::from(report.completed())),
         ("failed", Json::from(report.failed())),
@@ -386,7 +365,7 @@ fn print_comparison(mix: &LoadMix, top: usize, pairs: &[(DegradeRun, DegradeRun)
             println!(
                 "{:>6}{:>10}{:>10.3}{:>8}{:>8}{:>7}{:>9}{:>12}{:>11}{:>13.3}",
                 format!("{}x", run.load_factor),
-                if run.degraded { "degraded" } else { "baseline" },
+                mode_label(run.degraded),
                 r.makespan,
                 r.completed(),
                 r.rejections.len(),
@@ -410,7 +389,7 @@ fn print_comparison(mix: &LoadMix, top: usize, pairs: &[(DegradeRun, DegradeRun)
     if let Some((base, deg)) = pairs.last() {
         for run in [base, deg] {
             let summaries = run.report.tenant_summaries(mix.tenants.len());
-            print!("{:>10}", if run.degraded { "degraded" } else { "baseline" });
+            print!("{:>10}", mode_label(run.degraded));
             for s in &summaries {
                 print!("{:>14.3}", s.deadline_hit_rate());
             }
@@ -455,37 +434,35 @@ fn gate(
     Ok(())
 }
 
-/// Runs the degrade experiment for `mix_name`, artifacts into `out_dir`.
+/// Runs the degrade experiment for `mix`, artifacts into `out_dir`.
 /// The artifact grid uses the base fault seed; the gates additionally
 /// cover every folded chaos seed at the top load factor.
-pub fn run_degrade(mix_name: &str, out_dir: &Path) -> Result<(), String> {
-    let mix = mix_by_name(mix_name)
-        .ok_or_else(|| format!("unknown mix '{mix_name}'; expected small or hetero"))?;
-    let top = top_tier(&mix);
-    let seeds = degrade_seeds();
+pub fn run_degrade(mix: &LoadMix, out_dir: &Path) -> Result<(), String> {
+    let top = top_tier(mix);
+    let seeds = chaos_seeds(&DEGRADE_BASE_SEEDS);
     let artifact_seed = seeds[0];
 
     let pairs: Vec<(DegradeRun, DegradeRun)> = DEGRADE_LOAD_FACTORS
         .iter()
         .map(|&f| {
             (
-                run_mode(&mix, f, artifact_seed, false),
-                run_mode(&mix, f, artifact_seed, true),
+                run_mode(mix, f, artifact_seed, false),
+                run_mode(mix, f, artifact_seed, true),
             )
         })
         .collect();
-    print_comparison(&mix, top, &pairs);
+    print_comparison(mix, top, &pairs);
 
     let top_factor = *DEGRADE_LOAD_FACTORS.last().expect("factors");
     for &seed in &seeds {
-        let jobs = generate(&scaled_mix(&mix, top_factor));
+        let jobs = generate(&scaled_mix(mix, top_factor));
         if seed == artifact_seed {
             let (base, deg) = pairs.last().expect("pairs");
-            gate(&mix, top, seed, &jobs, base, deg)?;
+            gate(mix, top, seed, &jobs, base, deg)?;
         } else {
-            let base = run_mode(&mix, top_factor, seed, false);
-            let deg = run_mode(&mix, top_factor, seed, true);
-            gate(&mix, top, seed, &jobs, &base, &deg)?;
+            let base = run_mode(mix, top_factor, seed, false);
+            let deg = run_mode(mix, top_factor, seed, true);
+            gate(mix, top, seed, &jobs, &base, &deg)?;
         }
     }
     check_preempt_resume_identity(48)?;
@@ -493,26 +470,23 @@ pub fn run_degrade(mix_name: &str, out_dir: &Path) -> Result<(), String> {
         "  preempt/resume chain across every panel boundary: bit-identical (n=48, all shapes)"
     );
 
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
-    let doc_path = out_dir.join(format!("DEGRADE_{}.json", mix.name));
-    fs::write(
-        &doc_path,
-        degrade_json(&mix, artifact_seed, &pairs).pretty(),
-    )
-    .map_err(|e| io_err(&doc_path, &e))?;
+    let doc = degrade_json(mix, artifact_seed, &pairs).pretty();
+    let mut files = vec![(format!("DEGRADE_{}.json", mix.name), doc.as_str())];
     if let Some((base, deg)) = pairs.last() {
         for run in [base, deg] {
-            let mode = if run.degraded { "degraded" } else { "baseline" };
-            let sched_path = out_dir.join(format!("SCHEDULE_DEGRADE_{}_{mode}.json", mix.name));
-            fs::write(&sched_path, &run.perfetto).map_err(|e| io_err(&sched_path, &e))?;
+            files.push((
+                format!(
+                    "SCHEDULE_DEGRADE_{}_{}.json",
+                    mix.name,
+                    mode_label(run.degraded)
+                ),
+                run.perfetto.as_str(),
+            ));
         }
     }
+    write_artifacts(out_dir, &files)?;
     println!("degrade artifacts written to {}", out_dir.display());
     Ok(())
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
 }
 
 #[cfg(test)]
@@ -570,7 +544,7 @@ mod tests {
         let jobs = generate(&scaled_mix(&mix, 3.0));
         for degraded in [false, true] {
             let run = run_mode(&mix, 3.0, 7, degraded);
-            let what = if degraded { "degraded" } else { "baseline" };
+            let what = mode_label(degraded);
             check_conservation(&jobs, &run.report, what).unwrap();
             check_deadline_verdicts(&run.report, what).unwrap();
         }
@@ -585,7 +559,7 @@ mod tests {
     fn chaos_seed_env_widens_the_grid() {
         // No env manipulation (tests run in parallel): just the base
         // list's shape.
-        let seeds = degrade_seeds();
+        let seeds = chaos_seeds(&DEGRADE_BASE_SEEDS);
         assert!(seeds.contains(&DEGRADE_BASE_SEEDS[0]));
     }
 }

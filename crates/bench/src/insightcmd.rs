@@ -47,30 +47,22 @@
 //! `SUMMAGEN_CHAOS_SEED`: the alert gate is calibrated against the base
 //! seed's schedule, and the check mode compares byte-stable documents.
 
-use std::fs;
-use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 use summagen_insight::{
     opportunity_table, rank_opportunities, sensitivity, BurnConfig, Opportunity, SensitivityCurve,
     SloKind, SloPolicy, SloSpec,
 };
-use summagen_metrics::MetricsRegistry;
 use summagen_partition::{Shape, ALL_FOUR_SHAPES};
-use summagen_platform::profile::hclserver1;
 use summagen_service::{
-    generate, DegradeConfig, DevicePool, FaultProfile, GemmService, LoadMix, Policy, ServiceConfig,
-    ServiceMetrics, ServiceReport,
+    generate, DegradeConfig, FaultProfile, LoadMix, Policy, ServiceConfig, ServiceReport,
 };
-use summagen_trace::{perfetto_json, replay, Intervention, Replay, Target, TraceRecorder};
+use summagen_trace::{perfetto_json, replay, Intervention, Replay, Target};
 
-use crate::benchcmd::{
-    compare_docs_drift, read_baseline, require_baseline_dir, CheckError, CheckOutcome,
-};
 use crate::degradecmd::{degrade_config, scaled_mix, DEGRADE_FAIL_PERMILLE};
+use crate::harness::{check_docs, shape_slug, write_artifacts, CheckError, CheckOutcome};
 use crate::json::{with_metadata, Json};
-use crate::servecmd::{SERVE_ALPHA, SERVE_BETA};
+use crate::servecmd::{instrumented_service, SERVE_ALPHA, SERVE_BETA};
 use crate::tracecmd::{trace_shape, TraceRun, TRACE_N};
 
 /// Cost factors of the sensitivity sweep, identity first down to free.
@@ -129,10 +121,6 @@ pub fn insight_shape(n: usize, shape: Shape) -> InsightShape {
         opportunities,
         curves,
     }
-}
-
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
 }
 
 /// The per-shape acceptance gates: identity-replay fidelity, the
@@ -320,12 +308,6 @@ pub struct SloRun {
 /// full degradation layer, same as the degrade sweep.
 pub fn run_slo_mode(mix: &LoadMix, factor: f64, degraded: bool) -> SloRun {
     let scaled = scaled_mix(mix, factor);
-    let pool = DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA);
-    let tenant_names = scaled.tenant_names();
-    let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
-    let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
-    let recorder = TraceRecorder::new(pool.devices().len());
     let config = if degraded {
         ServiceConfig {
             policy: Policy::FpmAware,
@@ -344,22 +326,30 @@ pub fn run_slo_mode(mix: &LoadMix, factor: f64, degraded: bool) -> SloRun {
             ..ServiceConfig::default()
         }
     };
-    let mut service = GemmService::new(pool, config)
-        .with_metrics(metrics)
-        .with_slo(insight_policy())
-        .with_sink(recorder.clone());
-    let report = service.run(generate(&scaled));
-    let trace = recorder.finish();
-    let mode = if degraded { "degraded" } else { "healthy" };
+    let (service, registry, recorder) = instrumented_service(&scaled, config);
+    let report = service.with_slo(insight_policy()).run(generate(&scaled));
     SloRun {
         perfetto: perfetto_json(
-            &trace,
-            &format!("{} slo schedule ({factor}x, {mode})", mix.name),
+            &recorder.finish(),
+            &format!(
+                "{} slo schedule ({factor}x, {})",
+                mix.name,
+                mode_label(degraded)
+            ),
         ),
         exposition: summagen_metrics::prometheus::render(&registry),
         report,
         load_factor: factor,
         degraded,
+    }
+}
+
+/// The artifact label of an SLO scenario mode.
+fn mode_label(degraded: bool) -> &'static str {
+    if degraded {
+        "degraded"
+    } else {
+        "healthy"
     }
 }
 
@@ -429,10 +419,7 @@ fn slo_run_json(mix: &LoadMix, run: &SloRun) -> Json {
     let tenants = report.tenant_summaries(mix.tenants.len());
     Json::obj([
         ("load_factor", Json::from(run.load_factor)),
-        (
-            "mode",
-            Json::from(if run.degraded { "degraded" } else { "healthy" }),
-        ),
+        ("mode", Json::from(mode_label(run.degraded))),
         ("makespan_s", Json::from(report.makespan)),
         ("completed", Json::from(report.completed())),
         ("rejected", Json::from(report.rejections.len())),
@@ -545,7 +532,7 @@ fn print_slo(mix: &LoadMix, runs: &[SloRun]) {
         println!(
             "{:>6}{:>10}{:>10.3}{:>8}{:>8}{:>7}{:>8}",
             format!("{}x", run.load_factor),
-            if run.degraded { "degraded" } else { "healthy" },
+            mode_label(run.degraded),
             r.makespan,
             r.completed(),
             r.rejections.len(),
@@ -577,12 +564,18 @@ pub fn insight_mix() -> LoadMix {
     summagen_service::hetero_mix()
 }
 
+/// Both load factors of the SLO scenario over the insight mix.
+fn slo_runs(mix: &LoadMix) -> Vec<SloRun> {
+    INSIGHT_LOAD_FACTORS
+        .iter()
+        .map(|&f| run_slo_mode(mix, f, f > 1.0))
+        .collect()
+}
+
 /// Runs the full insight suite — what-if profiles of the four paper
 /// shapes plus the SLO scenario — writing artifacts into `out_dir` and
 /// enforcing the acceptance gates.
 pub fn run_insight(n: usize, out_dir: &Path) -> Result<(), String> {
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
-
     println!("\nINSIGHT — causal what-if profiles (n = {n})");
     for shape in ALL_FOUR_SHAPES {
         let is = insight_shape(n, shape);
@@ -591,85 +584,62 @@ pub fn run_insight(n: usize, out_dir: &Path) -> Result<(), String> {
         for line in opportunity_table(is.baseline.makespan, &is.opportunities).lines() {
             println!("    {line}");
         }
-        let path = out_dir.join(format!("INSIGHT_{}.json", shape_slug(shape)));
-        fs::write(&path, insight_json(&is).pretty()).map_err(|e| io_err(&path, &e))?;
+        write_artifacts(
+            out_dir,
+            &[(
+                format!("INSIGHT_{}.json", shape_slug(shape)),
+                &insight_json(&is).pretty(),
+            )],
+        )?;
     }
 
     let mix = insight_mix();
-    let runs: Vec<SloRun> = INSIGHT_LOAD_FACTORS
-        .iter()
-        .map(|&f| run_slo_mode(&mix, f, f > 1.0))
-        .collect();
+    let runs = slo_runs(&mix);
     print_slo(&mix, &runs);
     gate_slo(&mix, &runs)?;
 
-    let doc_path = out_dir.join(format!("INSIGHT_slo_{}.json", mix.name));
-    fs::write(&doc_path, slo_json(&mix, &runs).pretty()).map_err(|e| io_err(&doc_path, &e))?;
+    let doc = slo_json(&mix, &runs).pretty();
+    let mut files = vec![(format!("INSIGHT_slo_{}.json", mix.name), doc.as_str())];
     if let Some(run) = runs.iter().find(|r| r.degraded) {
-        let prom_path = out_dir.join(format!("SLO_INSIGHT_{}.prom", mix.name));
-        fs::write(&prom_path, &run.exposition).map_err(|e| io_err(&prom_path, &e))?;
-        let sched_path = out_dir.join(format!(
-            "SCHEDULE_INSIGHT_{}_{}x.json",
-            mix.name, run.load_factor
+        files.push((
+            format!("SLO_INSIGHT_{}.prom", mix.name),
+            run.exposition.as_str(),
         ));
-        fs::write(&sched_path, &run.perfetto).map_err(|e| io_err(&sched_path, &e))?;
+        files.push((
+            format!("SCHEDULE_INSIGHT_{}_{}x.json", mix.name, run.load_factor),
+            run.perfetto.as_str(),
+        ));
     }
+    write_artifacts(out_dir, &files)?;
     println!("\ninsight artifacts written to {}", out_dir.display());
     Ok(())
 }
 
 /// Check mode: reruns the suite and compares every `INSIGHT_*.json`
-/// against the like-named baselines in `baseline_dir`, same drift
-/// machinery as `bench --check`. A missing or unreadable baseline is a
-/// typed [`CheckError`] naming the path — detected before the expensive
-/// fresh runs start.
+/// against the like-named baselines in `baseline_dir` through the shared
+/// [`check_docs`] comparator, same as `bench --check`.
 pub fn check_insight(baseline_dir: &Path, tol: f64) -> Result<CheckOutcome, CheckError> {
-    require_baseline_dir(baseline_dir)?;
-    let mut outcome = CheckOutcome::default();
-    println!(
-        "\nINSIGHT CHECK — fresh run vs baselines in {} (tolerance ±{:.2}%)",
-        baseline_dir.display(),
-        100.0 * tol
-    );
-    let mut one = |label: &str, file: String, fresh: Json| -> Result<(), CheckError> {
-        let path = baseline_dir.join(file);
-        let baseline = read_baseline(&path)?;
-        let (v, drift) = compare_docs_drift(label, &baseline, &fresh, tol);
-        println!(
-            "  {:<20} {}",
-            label,
-            if v.is_empty() {
-                "ok".to_string()
-            } else {
-                format!("{} violation(s)", v.len())
-            }
-        );
-        outcome.violations.extend(v);
-        outcome.absorb(drift);
-        Ok(())
-    };
-    for shape in ALL_FOUR_SHAPES {
-        one(
-            shape.name(),
+    let shapes = ALL_FOUR_SHAPES.iter().map(|&shape| {
+        (
+            shape.name().to_string(),
             format!("INSIGHT_{}.json", shape_slug(shape)),
-            insight_json(&insight_shape(TRACE_N, shape)),
-        )?;
-    }
-    let mix = insight_mix();
-    let runs: Vec<SloRun> = INSIGHT_LOAD_FACTORS
-        .iter()
-        .map(|&f| run_slo_mode(&mix, f, f > 1.0))
-        .collect();
-    one(
-        "slo",
-        format!("INSIGHT_slo_{}.json", mix.name),
-        slo_json(&mix, &runs),
-    )?;
-    Ok(outcome)
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
+            Ok(insight_json(&insight_shape(TRACE_N, shape))),
+        )
+    });
+    let slo = std::iter::once_with(|| {
+        let mix = insight_mix();
+        (
+            "slo".to_string(),
+            format!("INSIGHT_slo_{}.json", mix.name),
+            Ok(slo_json(&mix, &slo_runs(&mix))),
+        )
+    });
+    check_docs(
+        "INSIGHT CHECK — fresh run",
+        baseline_dir,
+        tol,
+        shapes.chain(slo),
+    )
 }
 
 #[cfg(test)]
@@ -716,10 +686,7 @@ mod tests {
     #[test]
     fn control_is_silent_and_stampede_fires_through_every_surface() {
         let mix = insight_mix();
-        let runs: Vec<SloRun> = INSIGHT_LOAD_FACTORS
-            .iter()
-            .map(|&f| run_slo_mode(&mix, f, f > 1.0))
-            .collect();
+        let runs = slo_runs(&mix);
         gate_slo(&mix, &runs).unwrap();
         let healthy = &runs[0];
         let degraded = &runs[1];

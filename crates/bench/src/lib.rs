@@ -9,6 +9,7 @@ pub mod benchcmd;
 pub mod crashcmd;
 pub mod degradecmd;
 pub mod experiments;
+pub mod harness;
 pub mod insightcmd;
 pub mod json;
 pub mod resilience;

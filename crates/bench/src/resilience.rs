@@ -20,8 +20,6 @@
 //! and the recompute fraction, so checkpointed and full-restart recovery
 //! are comparable from artifacts alone.
 
-use std::fs;
-use std::io;
 use std::path::Path;
 use std::time::Duration;
 
@@ -34,6 +32,7 @@ use summagen_matrix::{gemm_naive, max_abs_diff, random_matrix, DenseMatrix, Gemm
 use summagen_partition::{proportional_areas, Shape, ALL_FOUR_SHAPES};
 use summagen_trace::{metrics, perfetto_json, TraceRecorder};
 
+use crate::harness::{cpm_speeds_json, ensure, shape_slug, write_artifacts};
 use crate::json::{with_metadata, Json};
 use crate::CPM_SPEEDS;
 
@@ -66,7 +65,8 @@ fn recovery_options() -> RecoveryOptions {
     }
 }
 
-fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+/// The sequential `A·B` every harness checks its products against.
+pub fn reference(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     let n = a.rows();
     let mut c = DenseMatrix::zeros(n, n);
     gemm_naive(
@@ -121,8 +121,10 @@ pub struct AbftShapeRun {
     pub corrupted_max_err: f64,
 }
 
-/// Runs the clean-overhead and corrupted scenarios for one shape.
-pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
+/// Runs the clean-overhead and corrupted scenarios for one shape. Fails
+/// if either protected run errors or the clean product drifts from the
+/// reference.
+pub fn abft_shape_run(n: usize, shape: Shape) -> Result<AbftShapeRun, String> {
     let a = random_matrix(n, n, 71);
     let b = random_matrix(n, n, 72);
     let want = reference(&a, &b);
@@ -146,12 +148,10 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         &abft,
         recorder.clone(),
     )
-    .expect("fault-free protected run succeeds");
-    assert!(
-        max_abs_diff(&protected.run.c, &want) < 1e-9,
-        "{}: protected product drifted",
-        shape.name()
-    );
+    .map_err(|e| format!("{}: fault-free protected run failed: {e}", shape.name()))?;
+    ensure(max_abs_diff(&protected.run.c, &want) < 1e-9, || {
+        format!("{}: protected product drifted", shape.name())
+    })?;
     let trace = recorder.finish();
     let m = metrics(&trace);
     let abft_time_max = m
@@ -188,10 +188,15 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         &opts,
         &abft,
     )
-    .expect("correctable corruption never fails the run");
+    .map_err(|e| {
+        format!(
+            "{}: correctable corruption failed the run: {e}",
+            shape.name()
+        )
+    })?;
     let corrupted_max_err = max_abs_diff(&corrupted.run.c, &want);
 
-    AbftShapeRun {
+    Ok(AbftShapeRun {
         shape,
         n,
         exec_protected: protected.run.exec_time,
@@ -206,7 +211,7 @@ pub fn abft_shape_run(n: usize, shape: Shape) -> AbftShapeRun {
         perfetto,
         corrupted,
         corrupted_max_err,
-    }
+    })
 }
 
 /// The schema-stamped JSON summary for one shape's ABFT runs.
@@ -245,24 +250,16 @@ pub fn abft_json(run: &AbftShapeRun) -> Json {
             ("n", Json::from(run.n)),
             ("shape", Json::from(run.shape.name())),
             ("checkpoint_interval", Json::from(ABFT_CHECKPOINT_INTERVAL)),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("cpm_speeds", cpm_speeds_json()),
         ]),
     )
 }
 
-fn shape_slug(shape: Shape) -> String {
-    shape.name().replace(' ', "-")
-}
-
 /// Runs the four paper shapes, writing `abft_<shape>.json` and
 /// `abft_trace_<shape>.json` into `out_dir` and printing the overhead
-/// table. Panics (failing CI) if a trace is missing the verify or
-/// checkpoint spans, or if a corrupted run was not fully repaired.
-pub fn run_abft(n: usize, out_dir: &Path) -> io::Result<()> {
-    fs::create_dir_all(out_dir)?;
+/// table. Fails if a trace is missing the verify or checkpoint spans, or
+/// if a corrupted run was not fully repaired.
+pub fn run_abft(n: usize, out_dir: &Path) -> Result<(), String> {
     println!(
         "\nABFT — checksum-protected SummaGen overhead (N = {n}, checkpoint every {ABFT_CHECKPOINT_INTERVAL} panel), output in {}",
         out_dir.display()
@@ -280,35 +277,33 @@ pub fn run_abft(n: usize, out_dir: &Path) -> io::Result<()> {
         "max err"
     );
     for shape in ALL_FOUR_SHAPES {
-        let run = abft_shape_run(n, shape);
-        assert!(
+        let run = abft_shape_run(n, shape)?;
+        let name = shape.name();
+        ensure(
             run.perfetto.contains("abft-verify") && run.perfetto.contains("abft-checkpoint"),
-            "{}: Perfetto export is missing ABFT spans",
-            shape.name()
-        );
-        assert_eq!(
-            run.corrupted.abft.attempts,
-            1,
-            "{}: correctable corruption must not trigger recovery",
-            shape.name()
-        );
-        assert!(
-            run.corrupted.abft.corrected >= 1,
-            "{}: the injected corruption was never seen",
-            shape.name()
-        );
-        assert!(
-            run.corrupted_max_err < 1e-9,
-            "{}: corrupted run returned a wrong product (err {:.2e})",
-            shape.name(),
-            run.corrupted_max_err
-        );
+            || format!("{name}: Perfetto export is missing ABFT spans"),
+        )?;
+        ensure(run.corrupted.abft.attempts == 1, || {
+            format!("{name}: correctable corruption must not trigger recovery")
+        })?;
+        ensure(run.corrupted.abft.corrected >= 1, || {
+            format!("{name}: the injected corruption was never seen")
+        })?;
+        ensure(run.corrupted_max_err < 1e-9, || {
+            format!(
+                "{name}: corrupted run returned a wrong product (err {:.2e})",
+                run.corrupted_max_err
+            )
+        })?;
 
         let slug = shape_slug(shape);
-        let json_path = out_dir.join(format!("abft_{slug}.json"));
-        fs::write(&json_path, abft_json(&run).pretty())?;
-        let trace_path = out_dir.join(format!("abft_trace_{slug}.json"));
-        fs::write(&trace_path, &run.perfetto)?;
+        write_artifacts(
+            out_dir,
+            &[
+                (format!("abft_{slug}.json"), &abft_json(&run).pretty()),
+                (format!("abft_trace_{slug}.json"), &run.perfetto),
+            ],
+        )?;
 
         println!(
             "{:>20}{:>14.6}{:>14.6}{:>9.2}%{:>9.3}%{:>7}{:>10}{:>11}{:>10.1e}",
@@ -465,10 +460,7 @@ pub fn recovery_json(n: usize) -> Json {
                 "seeds",
                 Json::arr(RECOVERY_SEEDS.iter().copied().map(Json::from)),
             ),
-            (
-                "cpm_speeds",
-                Json::arr(CPM_SPEEDS.iter().copied().map(Json::from)),
-            ),
+            ("cpm_speeds", cpm_speeds_json()),
         ]),
     )
 }
@@ -479,7 +471,7 @@ mod tests {
 
     #[test]
     fn abft_shape_run_measures_overhead_and_repairs_corruption() {
-        let run = abft_shape_run(48, Shape::OneDRectangular);
+        let run = abft_shape_run(48, Shape::OneDRectangular).unwrap();
         assert!(run.exec_protected > 0.0);
         assert!(run.abft_time_total > 0.0, "verification must cost time");
         assert!(run.overhead_pct > 0.0 && run.overhead_pct < 50.0);

@@ -25,19 +25,18 @@
 //! that comparison is the service-level restatement of the paper's
 //! claim, and this gate is what the CI load job regression-tests.
 
-use std::fs;
-use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use summagen_metrics::MetricsRegistry;
 use summagen_platform::profile::hclserver1;
 use summagen_service::{
-    generate, mix_by_name, DevicePool, GemmService, LoadMix, Policy, ServiceConfig, ServiceMetrics,
+    generate, DevicePool, GemmService, LoadMix, Policy, ServiceConfig, ServiceMetrics,
     ServiceReport,
 };
 use summagen_trace::{perfetto_json, TraceRecorder};
 
+use crate::harness::write_artifacts;
 use crate::json::{with_metadata, Json};
 
 /// Hockney link parameters of the pool (same intra-node class the other
@@ -55,27 +54,41 @@ pub struct PolicyRun {
     pub perfetto: String,
 }
 
-/// Runs one policy over a fresh pool and the given job stream.
-pub fn run_policy(mix: &LoadMix, policy: Policy) -> PolicyRun {
-    let pool = DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA);
-    let tenant_names = mix.tenant_names();
+/// The hclserver1 device pool every service harness runs on.
+pub fn service_pool() -> DevicePool {
+    DevicePool::from_platform(&hclserver1(), SERVE_ALPHA, SERVE_BETA)
+}
+
+/// A fresh service over [`service_pool`], instrumented the way every
+/// service harness is: per-tenant metrics on a Prometheus-renderable
+/// registry, and every dispatch recorded into a schedule timeline.
+pub fn instrumented_service(
+    mix: &LoadMix,
+    config: ServiceConfig,
+) -> (GemmService, Arc<MetricsRegistry>, Arc<TraceRecorder>) {
+    let pool = service_pool();
     let device_names: Vec<&'static str> = pool.devices().iter().map(|d| d.name).collect();
     let registry = Arc::new(MetricsRegistry::new());
-    let metrics = ServiceMetrics::register(&registry, &tenant_names, &device_names);
+    let metrics = ServiceMetrics::register(&registry, &mix.tenant_names(), &device_names);
     let recorder = TraceRecorder::new(pool.devices().len());
+    let service = GemmService::new(pool, config)
+        .with_metrics(metrics)
+        .with_sink(recorder.clone());
+    (service, registry, recorder)
+}
+
+/// Runs one policy over a fresh pool and the given job stream.
+pub fn run_policy(mix: &LoadMix, policy: Policy) -> PolicyRun {
     let config = ServiceConfig {
         policy,
         ..ServiceConfig::default()
     };
-    let mut service = GemmService::new(pool, config)
-        .with_metrics(metrics)
-        .with_sink(recorder.clone());
+    let (mut service, registry, recorder) = instrumented_service(mix, config);
     let report = service.run(generate(mix));
-    let trace = recorder.finish();
     PolicyRun {
         exposition: summagen_metrics::prometheus::render(&registry),
         perfetto: perfetto_json(
-            &trace,
+            &recorder.finish(),
             &format!("{} schedule ({})", mix.name, policy.name()),
         ),
         report,
@@ -229,42 +242,29 @@ fn print_comparison(mix: &LoadMix, runs: &[PolicyRun]) {
     }
 }
 
-/// Runs the serve experiment: the named mix under `policy` (or all three
+/// Runs the serve experiment: `mix` under `policy` (or all three
 /// policies when `None`), artifacts into `out_dir`. With all three
 /// policies the FPM-vs-FIFO win is asserted and a loss is an `Err`.
-pub fn run_serve(
-    mix_name: &str,
-    policy: Option<Policy>,
-    jobs_override: Option<usize>,
-    out_dir: &Path,
-) -> Result<(), String> {
-    let mut mix = mix_by_name(mix_name)
-        .ok_or_else(|| format!("unknown mix '{mix_name}'; expected small or hetero"))?;
-    if let Some(jobs) = jobs_override {
-        mix.jobs = jobs;
-    }
+pub fn run_serve(mix: &LoadMix, policy: Option<Policy>, out_dir: &Path) -> Result<(), String> {
     let policies: Vec<Policy> = match policy {
         Some(p) => vec![p],
         None => Policy::ALL.to_vec(),
     };
-    let runs: Vec<PolicyRun> = policies.iter().map(|&p| run_policy(&mix, p)).collect();
-    print_comparison(&mix, &runs);
+    let runs: Vec<PolicyRun> = policies.iter().map(|&p| run_policy(mix, p)).collect();
+    print_comparison(mix, &runs);
 
-    fs::create_dir_all(out_dir).map_err(|e| io_err(out_dir, &e))?;
-    let doc_path = out_dir.join(format!("LOAD_{}.json", mix.name));
-    fs::write(&doc_path, serve_json(&mix, &runs).pretty()).map_err(|e| io_err(&doc_path, &e))?;
+    let doc = serve_json(mix, &runs).pretty();
+    let mut files = vec![(format!("LOAD_{}.json", mix.name), doc.as_str())];
     for run in &runs {
-        let sched_path = out_dir.join(format!(
-            "SCHEDULE_{}_{}.json",
-            mix.name,
-            run.report.policy.name()
+        files.push((
+            format!("SCHEDULE_{}_{}.json", mix.name, run.report.policy.name()),
+            run.perfetto.as_str(),
         ));
-        fs::write(&sched_path, &run.perfetto).map_err(|e| io_err(&sched_path, &e))?;
         if run.report.policy == Policy::FpmAware {
-            let prom_path = out_dir.join(format!("LOAD_{}.prom", mix.name));
-            fs::write(&prom_path, &run.exposition).map_err(|e| io_err(&prom_path, &e))?;
+            files.push((format!("LOAD_{}.prom", mix.name), run.exposition.as_str()));
         }
     }
+    write_artifacts(out_dir, &files)?;
     println!("\nserve artifacts written to {}", out_dir.display());
 
     let fifo = runs.iter().find(|r| r.report.policy == Policy::Fifo);
@@ -287,10 +287,6 @@ pub fn run_serve(
         }
     }
     Ok(())
-}
-
-fn io_err(path: &Path, e: &io::Error) -> String {
-    format!("{}: {e}", path.display())
 }
 
 #[cfg(test)]

@@ -156,7 +156,7 @@ impl Mailbox {
 
     /// Moves every queued envelope into `pending` (through the transport
     /// when active).
-    fn drain(&mut self, shared: &Shared) {
+    pub(crate) fn drain(&mut self, shared: &Shared) {
         while let Ok(env) = self.rx.try_recv() {
             self.admit(env, shared);
         }

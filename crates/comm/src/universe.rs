@@ -409,12 +409,15 @@ impl Universe {
         (shared, receivers)
     }
 
+    /// One world communicator per rank, plus a handle on each rank's
+    /// mailbox so the launcher can drain it after the rank has exited.
+    #[allow(clippy::type_complexity)]
     fn build_comms(
         &self,
         shared: &Arc<Shared>,
         receivers: Vec<crate::chan::Receiver<crate::message::Envelope>>,
         world_id: u64,
-    ) -> Vec<Communicator> {
+    ) -> (Vec<Communicator>, Vec<Arc<Mutex<Mailbox>>>) {
         let group: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
         receivers
             .into_iter()
@@ -424,17 +427,19 @@ impl Universe {
                 if self.traced {
                     clock.enable_trace();
                 }
-                Communicator::new(
+                let mailbox = Arc::new(Mutex::new(Mailbox::new(rx)));
+                let comm = Communicator::new(
                     world_id,
                     rank,
                     Arc::clone(&group),
                     Arc::clone(shared),
-                    Arc::new(Mutex::new(Mailbox::new(rx))),
+                    Arc::clone(&mailbox),
                     Arc::new(Mutex::new(clock)),
                     Arc::new(Mutex::new(TrafficStats::default())),
-                )
+                );
+                (comm, mailbox)
             })
-            .collect()
+            .unzip()
     }
 
     /// Runs `f` on every rank concurrently (one OS thread per rank) and
@@ -476,7 +481,7 @@ impl Universe {
         install_kill_silencer();
         let (shared, receivers) = self.build_shared();
         let world_id = UNIVERSE_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let comms = self.build_comms(&shared, receivers, world_id);
+        let (comms, mailboxes) = self.build_comms(&shared, receivers, world_id);
         // Ranks that returned (normally or with an error) stop stamping
         // activity; the watchdog must not mistake "done" for "hung".
         let finished: Arc<Vec<AtomicBool>> =
@@ -564,6 +569,17 @@ impl Universe {
         // backend resources (a no-op on channels, socket/IO-thread
         // teardown on TCP).
         shared.transport.shutdown();
+        // A duplicated packet's second copy is counted as suppressed only
+        // when a receive drains it, so the copy trailing a rank's last
+        // inbound packet would be counted or not depending on thread
+        // timing. One final drain per mailbox counts every delivered
+        // duplicate exactly once. Only link-plan universes stamp
+        // `link_seq`, so there is nothing to count without one.
+        if shared.link.is_some() {
+            for mailbox in &mailboxes {
+                mailbox.lock().drain(&shared);
+            }
+        }
 
         let mut values = Vec::with_capacity(self.size);
         let mut failed = Vec::new();

@@ -288,9 +288,14 @@ proptest! {
 
     /// The same seed must reproduce the same retransmit / duplicate /
     /// suppression counts: wire fates are a pure function of
-    /// `(seed, src, dst, seq, attempt)`.
+    /// `(seed, src, dst, seq, attempt)`, and the universe drains every
+    /// mailbox after the ranks join, so each delivered duplicate is
+    /// suppressed — and counted — exactly once.
     #[test]
     fn same_seed_reproduces_same_transport_counts(seed in 0u64..1_000) {
-        prop_assert_eq!(seeded_retx_counts(seed), seeded_retx_counts(seed));
+        let counts = seeded_retx_counts(seed);
+        let (_, duplicates, dup_dropped) = counts;
+        prop_assert_eq!(dup_dropped, duplicates);
+        prop_assert_eq!(counts, seeded_retx_counts(seed));
     }
 }

@@ -85,7 +85,7 @@ fn exposition_and_timeline_carry_the_service_story() {
 #[test]
 fn run_serve_writes_artifacts_and_passes_its_gate() {
     let out = std::env::temp_dir().join(format!("summagen-serve-test-{}", std::process::id()));
-    run_serve("small", None, Some(80), &out).expect("serve gate");
+    run_serve(&truncated(small_mix(), 80), None, &out).expect("serve gate");
     for name in [
         "LOAD_small.json",
         "LOAD_small.prom",
@@ -160,7 +160,7 @@ fn degradation_beats_the_baseline_at_overload() {
 #[test]
 fn run_degrade_writes_artifacts_and_passes_its_gates() {
     let out = std::env::temp_dir().join(format!("summagen-degrade-test-{}", std::process::id()));
-    run_degrade("small", &out).expect("degrade gates");
+    run_degrade(&small_mix(), &out).expect("degrade gates");
     for name in [
         "DEGRADE_small.json",
         "SCHEDULE_DEGRADE_small_baseline.json",
