@@ -10,7 +10,7 @@ use summagen_comm::{
     FaultPlan, HeartbeatConfig, HockneyModel, LinkPlan, RankFailure, TrafficStats, Universe,
     ZeroCost, DEFAULT_RECV_TIMEOUT,
 };
-use summagen_matrix::{DenseMatrix, GemmKernel};
+use summagen_matrix::{rank_thread_budget, with_thread_budget, DenseMatrix, GemmKernel};
 use summagen_partition::{
     beaumont_column_layout, proportional_areas, PartitionSpec, ProcBlock, Shape,
 };
@@ -166,6 +166,12 @@ pub(crate) type RankBlocks = Vec<(ProcBlock, DenseMatrix)>;
 /// `sink`, and assembles the product. A dying rank surfaces as
 /// `Err(RankFailure)` instead of a panic or a silent hang. Each rank's
 /// extra result is returned alongside, in rank order.
+///
+/// The ranks share this host's cores, so each rank body runs under a
+/// kernel-thread budget of `max(1, cores / nprocs)`
+/// ([`summagen_matrix::rank_thread_budget`]): ranks × kernel threads
+/// never exceed the cores. This is the one place core starts ranks that
+/// run real GEMMs; the panelled executor launches through it too.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_attempt<X: Send>(
     spec: &PartitionSpec,
@@ -196,8 +202,10 @@ pub(crate) fn run_attempt<X: Send>(
     if let Some(sink) = sink {
         universe = universe.with_event_sink(sink);
     }
+    let budget = rank_thread_budget(spec.nprocs);
     let results = universe.try_run(|comm| {
-        let (blocks, extra) = rank_body(&comm, &rank_data[comm.rank()])?;
+        let (blocks, extra) =
+            with_thread_budget(budget, || rank_body(&comm, &rank_data[comm.rank()]))?;
         Ok((blocks, extra, comm.clock_snapshot(), comm.traffic()))
     })?;
 
@@ -673,8 +681,10 @@ mod tests {
 
     #[test]
     fn all_kernels_agree_through_summagen() {
-        // Large enough that the panel GEMMs take `gemm_parallel`'s
-        // row-parallel branch rather than its small-problem fallback.
+        // Inside a 3-rank universe the kernel-thread budget is
+        // max(1, cores / 3), so on a host with fewer than 6 cores
+        // `Parallel` runs on one thread here; the row-band split itself
+        // is pinned by `gemm::tests::parallel_is_bit_identical_to_blocked`.
         let n = 160;
         let speeds = [1.0, 1.5, 0.7];
         let spec = Shape::BlockRectangle.build(n, &proportional_areas(n, &speeds));
@@ -714,16 +724,16 @@ mod tests {
                 approx_eq(&blocked, &want, gemm_tolerance(n) * 100.0),
                 "{path}"
             );
-            // Naive sums each element in a register and adds it once;
-            // Blocked adds every product straight into C. Same terms,
-            // different rounding.
+            // Naive rounds every product and sum separately; Blocked
+            // fuses each multiply-add on FMA hosts. Same terms, different
+            // rounding.
             assert!(
                 approx_eq(&naive, &blocked, gemm_tolerance(n)),
                 "{path}: naive"
             );
-            // Parallel runs the blocked kernel once per row of C, and the
-            // blocked kernel adds into each element in ascending-k order
-            // whatever the row count: the products are bit-identical.
+            // Parallel runs the blocked kernel over row bands of C and
+            // never splits k; each element is the same chain of
+            // multiply-adds whatever band it lands in: bit-identical.
             let same = parallel
                 .as_slice()
                 .iter()
@@ -745,6 +755,50 @@ mod tests {
             &reference(&a, &b),
             gemm_tolerance(n) * 100.0
         ));
+    }
+
+    #[test]
+    fn rank_bodies_run_under_the_rank_thread_budget() {
+        use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload};
+        use summagen_matrix::{available_cores, thread_budget};
+        let n = 24;
+        let (a, b) = (random_matrix(n, n, 60), random_matrix(n, n, 61));
+        let opts = RecoveryOptions::default();
+        for nprocs in 1..=2 * available_cores() + 1 {
+            let spec = beaumont_column_layout(n, &vec![1.0; nprocs]);
+            let want = vec![(available_cores() / nprocs).max(1); nprocs];
+            // The one-shot executor's rank body and the panelled
+            // executor's (`multiply_panelled_with_cost`), each reporting
+            // the budget it sees.
+            let (_, one_shot) =
+                run_attempt(&spec, &a, &b, ZeroCost, &opts, None, None, |comm, data| {
+                    let blocks = one_shot_rank(comm, &spec, data, GemmKernel::Parallel)?;
+                    Ok((blocks, thread_budget()))
+                })
+                .expect("fault-free run");
+            assert_eq!(one_shot, want, "one-shot, {nprocs} ranks");
+            let (_, panelled) =
+                run_attempt(&spec, &a, &b, ZeroCost, &opts, None, None, |comm, data| {
+                    let payload = PanelPayload::Real {
+                        data,
+                        kernel: GemmKernel::Parallel,
+                    };
+                    let (blocks, _) = run_rank_panels(
+                        comm,
+                        &spec,
+                        payload,
+                        &PanelCodec::Plain,
+                        |_, _| 0.0,
+                        None,
+                        n,
+                    )?;
+                    Ok((blocks, thread_budget()))
+                })
+                .expect("fault-free run");
+            assert_eq!(panelled, want, "panelled, {nprocs} ranks");
+        }
+        // The calling thread, outside any universe, keeps the core count.
+        assert_eq!(thread_budget(), available_cores());
     }
 
     fn fast_opts() -> RecoveryOptions {

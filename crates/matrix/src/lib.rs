@@ -3,14 +3,16 @@
 //! This crate provides the numerical substrate that the paper obtains from
 //! vendor BLAS libraries (Intel MKL, CUBLAS): a row-major dense `f64` matrix
 //! type, strided block copies (the paper's `copy_matrix`), and GEMM kernels
-//! in three flavours — a naive reference, a cache-blocked serial kernel, and
-//! a rayon-parallel kernel. All kernels operate on strided submatrices so
-//! that SummaGen can multiply slices of its working matrices `WA`/`WB`
-//! directly into slices of the local `C` partition, exactly like the
-//! `localDgemm` call in Fig. 4 of the paper.
+//! in three flavours — a naive reference, a packed register-tiled serial
+//! kernel with run-time ISA dispatch, and the same kernel over row bands
+//! on a per-thread thread budget ([`budget`]). All kernels operate on
+//! strided submatrices so that SummaGen can multiply slices of its working
+//! matrices `WA`/`WB` directly into slices of the local `C` partition,
+//! exactly like the `localDgemm` call in Fig. 4 of the paper.
 
 pub mod abft;
 pub mod block;
+pub mod budget;
 pub mod dense;
 pub mod gemm;
 pub mod gen;
@@ -24,6 +26,7 @@ pub use abft::{
     abft_tolerance, augment_a, augment_b, strip_checksums, verify_and_correct, AbftVerdict,
 };
 pub use block::{copy_block, Block};
+pub use budget::{available_cores, rank_thread_budget, thread_budget, with_thread_budget};
 pub use dense::DenseMatrix;
 pub use gemm::{gemm_blocked, gemm_naive, gemm_parallel, GemmKernel, GemmObserver};
 pub use gen::{deterministic_matrix, random_matrix, seeded_rng};

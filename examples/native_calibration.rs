@@ -1,6 +1,6 @@
 //! Native calibration: apply the paper's measurement methodology to the
 //! machine this example runs on. Each data point times the real
-//! rayon-parallel GEMM kernel, repeating until the Student's-t 95 %
+//! multi-threaded GEMM kernel, repeating until the Student's-t 95 %
 //! confidence interval is within 2.5 % of the mean (the paper's
 //! protocol), then builds a tabulated FPM of the *actual* host and uses
 //! it to partition a real multiplication across three unequal
@@ -46,7 +46,7 @@ fn main() {
         max_reps: 40,
     };
 
-    println!("measuring the native rayon-parallel GEMM (Student's-t protocol)...\n");
+    println!("measuring the native multi-threaded GEMM (Student's-t protocol)...\n");
     println!(
         "{:>6}{:>8}{:>14}{:>12}{:>10}",
         "n", "reps", "mean t (s)", "GFLOP/s", "CI/mean"
