@@ -295,8 +295,8 @@ impl AbftLabel {
     }
 }
 
-/// The SummaGen stages (and the classic-SUMMA panel loop) that emit
-/// enclosing [`SpanKind::Stage`] spans.
+/// The SummaGen stages that emit enclosing [`SpanKind::Stage`] spans,
+/// plus a label for classic-SUMMA panel iterations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StageLabel {
     /// Stage 1: horizontal communications of `A`.
@@ -305,7 +305,8 @@ pub enum StageLabel {
     VerticalB,
     /// Stage 3: local computations.
     LocalCompute,
-    /// One iteration of the classic-SUMMA panel loop.
+    /// One iteration of a classic-SUMMA panel loop. The built-in SUMMA
+    /// executors are not traced, so only external emitters use it.
     SummaPanel,
 }
 

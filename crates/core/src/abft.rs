@@ -21,10 +21,10 @@
 //! * **Escalation** — corruption the residuals cannot localize (two or
 //!   more damaged elements) is *detected but uncorrectable*: the rank
 //!   returns [`CommError::DataCorruption`], which
-//!   [`RankFailure::crashed_ranks`] treats as an own-cause crash, so
-//!   [`multiply_abft`] drops the device and re-partitions over the
-//!   survivors in the same shrink-and-retry loop as
-//!   [`crate::multiply_with_recovery`].
+//!   [`summagen_comm::RankFailure::crashed_ranks`] treats as an
+//!   own-cause crash, so [`multiply_abft`] drops the device and
+//!   re-partitions over the survivors in the same shrink-and-retry loop
+//!   as [`crate::multiply_with_recovery`].
 //! * **Checkpointing** — every `checkpoint_interval` completed (and
 //!   verified) panel steps, ranks snapshot their `C` data blocks into a
 //!   host-side store. A checkpoint is valid once *all* ranks have written
@@ -61,7 +61,7 @@ use crate::executor::{
     run_attempt, shrink_and_retry, survivor_spec, ExecutionMode, RankBlocks, RecoveryError,
     RecoveryOptions, RunResult,
 };
-use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload, PanelStats};
+use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload, PanelStats, Schedule};
 use crate::rankdata::RankMatrices;
 
 /// Knobs for the checksum-protected executor.
@@ -567,7 +567,10 @@ fn checksummed_rank<'a>(
         let codec = PanelCodec::Checksummed { opts: abft, store };
         let gemm_cost =
             |blk: &ProcBlock, kb| abft.gemm_cost * ((blk.rows + 1) * (blk.cols + 1) * kb) as f64;
-        run_rank_panels(comm, spec, payload, &codec, gemm_cost, resume, stop_k)
+        let schedule = Schedule::PerColumn;
+        run_rank_panels(
+            comm, spec, schedule, payload, &codec, gemm_cost, resume, stop_k,
+        )
     }
 }
 
@@ -608,7 +611,6 @@ pub fn multiply_abft(
         opts,
         abft,
         None,
-        None,
     )
 }
 
@@ -641,41 +643,6 @@ pub fn multiply_abft_traced(
         opts,
         abft,
         Some(sink),
-        None,
-    )
-}
-
-/// [`multiply_abft`] with both observability channels optional: an event
-/// sink for per-event spans and/or a metrics bundle for aggregate
-/// counters and histograms (ABFT verifies/corrections/checkpoints/
-/// rollbacks, panel steps, GEMM throughput, comm volume). Either can be
-/// `None`; with both `None` this is exactly [`multiply_abft`].
-#[allow(clippy::too_many_arguments)]
-pub fn multiply_abft_observed(
-    shape: Shape,
-    rel_speeds: &[f64],
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    mode: ExecutionMode,
-    cost: impl CostModel + Clone,
-    attempt_faults: &[FaultPlan],
-    opts: &RecoveryOptions,
-    abft: &AbftOptions,
-    sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
-) -> Result<AbftRunResult, RecoveryError> {
-    multiply_abft_inner(
-        shape,
-        rel_speeds,
-        a,
-        b,
-        mode,
-        cost,
-        attempt_faults,
-        opts,
-        abft,
-        sink,
-        metrics,
     )
 }
 
@@ -691,17 +658,10 @@ fn multiply_abft_inner(
     opts: &RecoveryOptions,
     abft: &AbftOptions,
     sink: Option<Arc<dyn EventSink>>,
-    metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
 ) -> Result<AbftRunResult, RecoveryError> {
     assert_eq!(a.rows(), b.rows(), "A and B must share dimension n");
     let n = a.rows();
     let kernel = mode.kernel();
-    // The explicit bundle wins; otherwise any bundle carried by the
-    // recovery options (the path `reproduce soak` uses) is installed.
-    let opts = RecoveryOptions {
-        metrics: metrics.or_else(|| opts.metrics.clone()),
-        ..opts.clone()
-    };
 
     let mut completed: Vec<(usize, DenseMatrix)> = Vec::new();
     let mut captured_boundaries: BTreeSet<usize> = BTreeSet::new();
@@ -711,7 +671,7 @@ fn multiply_abft_inner(
         rel_speeds,
         n,
         attempt_faults,
-        &opts,
+        opts,
         |spec, faults| {
             let store = CheckpointStore::new(spec.nprocs, n, abft.checkpoint_budget_bytes);
             let resume = completed.last().map(|(k, c)| PanelCheckpoint {
@@ -719,7 +679,7 @@ fn multiply_abft_inner(
                 c: c.clone(),
             });
             let body = checksummed_rank(abft, spec, kernel, &store, resume.as_ref(), usize::MAX);
-            let outcome = run_attempt(spec, a, b, cost.clone(), &opts, faults, sink.clone(), body);
+            let outcome = run_attempt(spec, a, b, cost.clone(), opts, faults, sink.clone(), body);
             // Harvest complete checkpoints whether the attempt lived or died:
             // snapshots written before a crash are exactly what the next
             // attempt resumes from. The harvested set is held to the same
@@ -777,7 +737,7 @@ fn multiply_abft_inner(
 /// A partition-independent k-prefix snapshot of `C`: the product after
 /// `k` columns of the inner dimension, `C = A[:, :k] · B[:k, :]`.
 ///
-/// This is the same object the [`CheckpointStore`] assembles at panel
+/// This is the same object the checkpoint store assembles at panel
 /// boundaries, surfaced as a value so callers *outside* the executor —
 /// the service's preemption path — can stop a multiply at a boundary,
 /// park the prefix, run something more urgent, and resume later.
@@ -946,7 +906,7 @@ mod tests {
         let b = random_matrix(n, n, 42);
         let plan = FaultPlan::new().corrupt_block(2, 1, 5, 3.0);
         let metrics = summagen_comm::RuntimeMetrics::fresh();
-        let res = multiply_abft_observed(
+        let res = multiply_abft(
             summagen_partition::Shape::SquareCorner,
             &SPEEDS,
             &a,
@@ -954,10 +914,11 @@ mod tests {
             ExecutionMode::Real,
             ZeroCost,
             &[plan],
-            &fast_opts(),
+            &RecoveryOptions {
+                metrics: Some(metrics.clone()),
+                ..fast_opts()
+            },
             &AbftOptions::default(),
-            None,
-            Some(metrics.clone()),
         )
         .expect("corrected run succeeds");
         assert!(approx_eq(&res.run.c, &reference(&a, &b), 1e-9));
@@ -1254,7 +1215,7 @@ mod tests {
             ..AbftOptions::default()
         };
         let metrics = summagen_comm::RuntimeMetrics::fresh();
-        let res = multiply_abft_observed(
+        let res = multiply_abft(
             summagen_partition::Shape::OneDRectangular,
             &[1.0, 1.0, 1.0],
             &a,
@@ -1262,10 +1223,11 @@ mod tests {
             ExecutionMode::Real,
             ZeroCost,
             &[],
-            &fast_opts(),
+            &RecoveryOptions {
+                metrics: Some(metrics.clone()),
+                ..fast_opts()
+            },
             &abft,
-            None,
-            Some(metrics.clone()),
         )
         .expect("fault-free run succeeds under a tight budget");
         assert!(approx_eq(&res.run.c, &reference(&a, &b), 1e-9));

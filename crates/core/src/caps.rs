@@ -1,4 +1,4 @@
-//! Parallel Strassen à la CAPS (Ballard et al., reference [23] of the
+//! Parallel Strassen à la CAPS (Ballard et al., reference \[23\] of the
 //! paper's related work): a **BFS step** distributes Strassen's seven
 //! half-size products over seven processor groups, each of which solves
 //! its product sequentially (a **DFS step** — here the sequential

@@ -15,8 +15,8 @@ use summagen_partition::{
     beaumont_column_layout, proportional_areas, PartitionSpec, ProcBlock, Shape,
 };
 
+use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload, Schedule};
 use crate::rankdata::{assemble, distribute, RankMatrices};
-use crate::stages::{horizontal_a, local_compute, vertical_b, StageData, Workspace};
 
 /// How local computations execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -135,24 +135,20 @@ fn run_real(
     .0
 }
 
-/// One rank of a one-shot run: the three SummaGen stages over real blocks.
+/// One rank of a one-shot run: the three SummaGen stages over real
+/// blocks, as the panel loop's single whole-k panel.
 fn one_shot_rank(
     comm: &Communicator,
     spec: &PartitionSpec,
     data: &RankMatrices,
     kernel: GemmKernel,
 ) -> CommResult<RankBlocks> {
-    let rank = comm.rank();
-    let mut state = StageData::Real {
-        data,
-        ws: Workspace::for_rank(spec, rank),
-        kernel,
-    };
-    horizontal_a(comm, spec, rank, &mut state)?;
-    vertical_b(comm, spec, rank, &mut state)?;
+    let payload = PanelPayload::Real { data, kernel };
     // Real runs do not model device speeds: computation advances the
     // clock by zero (timing studies use `simulate`).
-    let (blocks, _flops) = local_compute(comm, spec, rank, &mut state, |_| 0.0);
+    let cost = |_: &ProcBlock, _| 0.0;
+    let (schedule, plain) = (Schedule::OneShot, PanelCodec::Plain);
+    let (blocks, _) = run_rank_panels(comm, spec, schedule, payload, &plain, cost, None, spec.n)?;
     Ok(blocks)
 }
 
@@ -759,7 +755,6 @@ mod tests {
 
     #[test]
     fn rank_bodies_run_under_the_rank_thread_budget() {
-        use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload};
         use summagen_matrix::{available_cores, thread_budget};
         let n = 24;
         let (a, b) = (random_matrix(n, n, 60), random_matrix(n, n, 61));
@@ -786,6 +781,7 @@ mod tests {
                     let (blocks, _) = run_rank_panels(
                         comm,
                         &spec,
+                        Schedule::PerColumn,
                         payload,
                         &PanelCodec::Plain,
                         |_, _| 0.0,
@@ -1062,7 +1058,7 @@ mod proptests {
         resume: Option<&crate::PanelCheckpoint>,
         stop_k: usize,
     ) -> RunResult {
-        use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload};
+        use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload, Schedule};
         let abft = crate::AbftOptions::default();
         let store =
             crate::abft::CheckpointStore::new(spec.nprocs, spec.n, abft.checkpoint_budget_bytes);
@@ -1080,7 +1076,17 @@ mod proptests {
                 data,
                 kernel: GemmKernel::Blocked,
             };
-            run_rank_panels(comm, spec, payload, &codec, |_, _| 0.0, resume, stop_k)
+            let schedule = Schedule::PerColumn;
+            run_rank_panels(
+                comm,
+                spec,
+                schedule,
+                payload,
+                &codec,
+                |_, _| 0.0,
+                resume,
+                stop_k,
+            )
         })
         .expect("zero-fault attempt succeeds")
         .0
@@ -1107,8 +1113,10 @@ mod proptests {
             prop_assert!(approx_eq(&res.c, &reference(&a, &b), gemm_tolerance(n) * 100.0));
         }
 
-        /// The plain panel loop computes what the one-shot stages compute,
-        /// on arbitrary valid partition specs.
+        /// The per-column schedule computes what the one-shot schedule
+        /// computes, bit for bit, on arbitrary valid partition specs: both
+        /// run one panel loop, and the kernel's k-order does not depend on
+        /// how k is split across calls (DESIGN §5).
         #[test]
         fn panelled_matches_one_shot_on_arbitrary_specs(n in 8usize..40, p in 1usize..5, seed in 0u64..10_000) {
             let spec = random_spec(n, p, seed);
@@ -1116,7 +1124,7 @@ mod proptests {
             let b = random_matrix(n, n, seed.wrapping_add(2));
             let one_shot = multiply(&spec, &a, &b, ExecutionMode::RealWith(GemmKernel::Blocked));
             let plain = crate::multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
-            prop_assert!(approx_eq(&plain.c, &one_shot.c, gemm_tolerance(n) * 100.0));
+            prop_assert!(same_bits(&plain.c, &one_shot.c));
         }
 
         /// Checksums ride along without touching the data region: a
@@ -1132,18 +1140,29 @@ mod proptests {
         }
 
         /// The phantom simulation moves exactly the messages and bytes of
-        /// the real plain run, rank by rank.
+        /// the real plain run, rank by rank, under either schedule.
         #[test]
-        fn phantom_traffic_equals_real_on_arbitrary_specs(n in 8usize..40, p in 1usize..5, seed in 0u64..10_000) {
+        fn phantom_traffic_equals_real_on_arbitrary_specs(
+            n in 8usize..40,
+            p in 1usize..5,
+            seed in 0u64..10_000,
+            schedule in 0usize..2,
+        ) {
             use summagen_platform::{profile::hclserver1, Platform};
             let spec = random_spec(n, p, seed);
             let a = random_matrix(n, n, seed.wrapping_add(1));
             let b = random_matrix(n, n, seed.wrapping_add(2));
             let processors = hclserver1().processors.into_iter().cycle().take(spec.nprocs);
             let platform = Platform::new(processors.collect(), 230.0);
-            let phantom = crate::simulate_panelled(&spec, &platform, ZeroCost);
-            let real = crate::multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
-            prop_assert_eq!(phantom.traffic, real.traffic);
+            let one_shot = schedule == 0;
+            let (phantom, real) = if one_shot {
+                let mode = ExecutionMode::RealWith(GemmKernel::Blocked);
+                (crate::simulate(&spec, &platform, ZeroCost), multiply(&spec, &a, &b, mode))
+            } else {
+                let phantom = crate::simulate_panelled(&spec, &platform, ZeroCost);
+                (phantom, crate::multiply_panelled(&spec, &a, &b, GemmKernel::Blocked))
+            };
+            prop_assert_eq!(phantom.traffic, real.traffic, "one-shot: {}", one_shot);
         }
 
         /// Stopping at any panel boundary and resuming from the returned

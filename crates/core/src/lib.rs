@@ -15,15 +15,31 @@
 //!    own partition of `C`; computing per sub-partition avoids the
 //!    redundant work a blanket `WA × WB` would do.
 //!
-//! Two execution modes share this code path:
+//! One stage engine, the panel loop in [`panelled`], runs every SummaGen
+//! entry point. It walks a schedule of k-panels with one of two payload
+//! modes:
 //!
-//! * [`ExecutionMode::Real`] — matrices are materialized and multiplied
-//!   with the kernels from `summagen-matrix`; the result is verified
-//!   against a sequential reference in the tests.
-//! * [`ExecutionMode::Simulated`] — payloads are phantom (size-only) and
-//!   local DGEMM advances the rank's virtual clock by the device-model
-//!   time from `summagen-platform`. This is how the paper-scale
-//!   experiments (N up to 38 416) run.
+//! * **real** payloads — matrices are materialized and multiplied with
+//!   the kernels from `summagen-matrix` ([`ExecutionMode`] picks the
+//!   kernel); the result is verified against a sequential reference in
+//!   the tests;
+//! * **phantom** payloads — size-only messages, and each local DGEMM
+//!   advances the rank's virtual clock by the device-model time from
+//!   `summagen-platform`. This is how the paper-scale experiments (N up
+//!   to 38 416) run ([`simulate()`]).
+//!
+//! and one of two schedules:
+//!
+//! * **one-shot** — a single panel over the whole inner dimension: the
+//!   paper's algorithm above ([`multiply`], [`multiply_with_recovery`],
+//!   [`simulate()`] and its variants);
+//! * **per-column** — one panel per grid column, which bounds each
+//!   rank's working memory ([`multiply_panelled`], [`simulate_panelled`])
+//!   and carries the checksummed, checkpointed executor
+//!   ([`multiply_abft`]).
+//!
+//! The classic baselines (SUMMA, Cannon, 2.5D, block-cyclic SUMMA, CAPS)
+//! live in their own modules.
 
 pub mod abft;
 pub mod caps;
@@ -33,12 +49,11 @@ pub mod executor;
 pub mod panelled;
 pub mod rankdata;
 pub mod simulate;
-pub mod stages;
 pub mod summa;
 
 pub use abft::{
-    multiply_abft, multiply_abft_observed, multiply_abft_prefix, multiply_abft_traced,
-    panel_boundaries, AbftOptions, AbftReport, AbftRunResult, PanelCheckpoint,
+    multiply_abft, multiply_abft_prefix, multiply_abft_traced, panel_boundaries, AbftOptions,
+    AbftReport, AbftRunResult, PanelCheckpoint,
 };
 pub use caps::{caps_multiply, caps_multiply_with_cost, CapsResult};
 pub use commopt::{
@@ -58,7 +73,4 @@ pub use simulate::{
     metered_energy_from_timelines, simulate, simulate_instrumented, simulate_observed,
     simulate_observed_on, simulate_traced, simulate_with_energy, SimReport,
 };
-pub use summa::{
-    summa_multiply, summa_multiply_with_cost, summa_simulate, summa_simulate_instrumented,
-    SummaResult,
-};
+pub use summa::{summa_multiply, summa_multiply_with_cost, summa_simulate, SummaResult};

@@ -1,47 +1,68 @@
-//! Panelled SummaGen: one fallible panel loop behind the memory-bounded
-//! variant, its phantom-payload simulation and the checksummed executor.
+//! The SummaGen stage engine: one fallible panel loop behind the
+//! one-shot executor, the memory-bounded panelled variant, their
+//! phantom-payload simulations and the checksummed executor.
 //!
-//! The paper's SummaGen gathers *all* required `A` rows and `B` columns
-//! into `WA`/`WB` before computing — simple, but `WA` alone holds up to
-//! `n²` elements per rank. The panel loop iterates over the sub-partition
-//! grid's `k`-dimension one grid column at a time (like SUMMA's panel
-//! loop): for panel `t`, ranks gather only the `A` blocks `(bi, t)` and
-//! the `B` rows of that k-range they need, then accumulate
-//! `C(bi, bj) += A(bi, t) · B(t, bj)` for every owned sub-partition.
+//! The loop walks a *panel schedule*: a list of grid-column ranges, each
+//! a slice of the inner (`k`) dimension. For panel `[t0, t1)`, ranks
+//! gather the `A` blocks `(bi, t)` for `t` in the range and the `B` rows
+//! of that k-range they need, then accumulate `C(bi, bj) += A(bi, ·) ·
+//! B(·, bj)` for every owned sub-partition. Two schedules exist:
 //!
-//! Communication volume is identical to the one-shot algorithm (the same
-//! bytes travel over the same row/column communicators, in more and
-//! smaller messages), and peak working memory per rank drops from
-//! `O(h·n + n·w)` to `O((h + w) · max_t width_t)`. Broadcasts block, so
-//! communication does not overlap computation on the wall clock; in
-//! virtual time a rank may run ahead into later panels while a slower
-//! peer still computes earlier ones.
+//! * **one-shot** — one panel over every grid column: the paper's
+//!   algorithm (Section IV). Stage 1 gathers whole rows of `A` into
+//!   `WA`, stage 2 whole columns of `B` into `WB`, stage 3 runs one DGEMM
+//!   per owned sub-partition (`height × n` by `n × width`). Its working
+//!   storage per rank is `O(h·n + n·w)`.
+//! * **per-column** — one panel per grid column, like SUMMA's panel loop.
+//!   The same bytes travel between the same ranks, in more and smaller
+//!   messages, and peak working memory drops to
+//!   `O((h + w) · max_t width_t)`. Because the grid's row cuts (which
+//!   partition `B`'s k-dimension) need not align with its column cuts,
+//!   the matching `B` rows are gathered as *slices* of the overlapping
+//!   `B` blocks.
 //!
-//! [`run_rank_panels`] is the one per-rank loop. Its inputs choose
+//! Broadcasts block, so communication does not overlap computation on
+//! the wall clock; in virtual time a rank may run ahead into later
+//! panels while a slower peer still computes earlier ones.
 //!
-//! * the payload mode ([`PanelPayload`]): real blocks, or size-only
-//!   phantom payloads for paper-scale simulation;
-//! * the codec ([`PanelCodec`]): plain panels, or Huang–Abraham
-//!   checksummed panels with checkpoints (see [`crate::abft`]);
+//! Besides the schedule, the loop's inputs choose
+//!
+//! * the payload mode: real blocks, or size-only phantom payloads for
+//!   paper-scale simulation;
+//! * the codec: plain panels, or Huang–Abraham checksummed panels with
+//!   checkpoints (see [`crate::abft`]);
 //! * the virtual compute seconds charged per block GEMM;
 //! * the k-range `[resume.k, stop_k)` to execute.
 //!
-//! Communication failures surface as `CommError` through the fallible
-//! collective API. The `expect`s assert the partition-validation
-//! invariants documented in [`crate::stages`] (every cell has an owner,
-//! owners hold their blocks, participants belong to their own row/column
-//! communicators).
+//! # Panic policy
+//!
+//! Communication failures (a peer dying mid-broadcast, a timeout, a typed
+//! payload mismatch) surface as `CommError` through the fallible
+//! collective API. The `expect`s assert structural invariants that
+//! [`PartitionSpec`] validation establishes before any panel runs: every
+//! grid cell has exactly one owner, an owner's blocks exist in its
+//! [`RankMatrices`], and a row/column participant is always a member of
+//! the communicator built from its own participant list. Violating one
+//! of these is a partitioner bug, not a runtime condition, so they panic.
 
-use summagen_comm::{CommError, Communicator, CostModel, Payload, Universe, ZeroCost};
-use summagen_matrix::{DenseMatrix, GemmKernel};
+use std::borrow::Cow;
+use std::cell::Cell;
+use std::ops::Range;
+
+use summagen_comm::{
+    CommError, Communicator, CostModel, Payload, SpanKind, StageLabel, Universe, ZeroCost,
+};
+use summagen_matrix::{copy_block, DenseMatrix, GemmKernel, GemmObserver};
+use summagen_metrics::GemmTelemetry;
 use summagen_partition::{PartitionSpec, ProcBlock};
 
 use crate::abft::{self, AbftOptions, CheckpointStore, PanelCheckpoint};
 use crate::executor::{run_attempt, RankBlocks, RecoveryOptions, RunResult};
 use crate::rankdata::RankMatrices;
-use crate::stages::{
-    col_participants, row_participants, PANEL_COL_LABEL_BASE, PANEL_ROW_LABEL_BASE,
-};
+
+/// Label spaces of the per-panel row and column communicators.
+const PANEL_ROW_LABEL_BASE: u64 = 1 << 22;
+const PANEL_COL_LABEL_BASE: u64 = 1 << 23;
 
 /// Multiplies `A × B` with the panelled SummaGen variant (free
 /// communication).
@@ -68,7 +89,9 @@ pub fn multiply_panelled_with_cost(
     let (opts, plain) = (RecoveryOptions::default(), PanelCodec::Plain);
     run_attempt(spec, a, b, cost, &opts, None, None, |comm, data| {
         let payload = PanelPayload::Real { data, kernel };
-        run_rank_panels(comm, spec, payload, &plain, |_, _| 0.0, None, spec.n)
+        let cost = |_: &ProcBlock, _| 0.0;
+        let schedule = Schedule::PerColumn;
+        run_rank_panels(comm, spec, schedule, payload, &plain, cost, None, spec.n)
     })
     .unwrap_or_else(|failure| panic!("rank panicked: {failure}"))
     .0
@@ -79,23 +102,26 @@ pub fn multiply_panelled_with_cost(
 /// that motivates panelling. Returns `(one_shot, panelled)` maxima over
 /// ranks.
 pub fn peak_workspace_elems(spec: &PartitionSpec) -> (usize, usize) {
-    let n = spec.n;
-    let mut one_shot_max = 0;
-    let mut panelled_max = 0;
-    for rank in 0..spec.nprocs {
-        let rows: usize = (0..spec.grid_rows)
-            .filter(|&bi| spec.row_contains(rank, bi))
-            .map(|bi| spec.heights[bi])
-            .sum();
-        let cols: usize = (0..spec.grid_cols)
-            .filter(|&bj| spec.col_contains(rank, bj))
-            .map(|bj| spec.widths[bj])
-            .sum();
-        one_shot_max = one_shot_max.max(rows * n + n * cols);
-        let max_panel = spec.widths.iter().copied().max().unwrap_or(0);
-        panelled_max = panelled_max.max(rows * max_panel + max_panel * cols);
-    }
-    (one_shot_max, panelled_max)
+    (0..spec.nprocs)
+        .map(|rank| workspace_elems(spec, rank))
+        .fold((0, 0), |(o, p), (ro, rp)| (o.max(ro), p.max(rp)))
+}
+
+/// `rank`'s working-set size under the one-shot and the per-column
+/// schedule: the `A` rows and `B` columns it gathers, `n` deep for the
+/// one-shot panel and as deep as the widest grid column otherwise.
+fn workspace_elems(spec: &PartitionSpec, rank: usize) -> (usize, usize) {
+    let rows: usize = (0..spec.grid_rows)
+        .filter(|&bi| spec.row_contains(rank, bi))
+        .map(|bi| spec.heights[bi])
+        .sum();
+    let cols: usize = (0..spec.grid_cols)
+        .filter(|&bj| spec.col_contains(rank, bj))
+        .map(|bj| spec.widths[bj])
+        .sum();
+    let depth = |k: usize| rows * k + k * cols;
+    let max_panel = spec.widths.iter().copied().max().unwrap_or(0);
+    (depth(spec.n), depth(max_panel))
 }
 
 /// Simulated-time panelled SummaGen: the panel schedule with phantom
@@ -107,37 +133,49 @@ pub fn simulate_panelled(
     platform: &summagen_platform::Platform,
     cost: impl CostModel,
 ) -> crate::simulate::SimReport {
-    assert!(platform.len() >= spec.nprocs, "platform too small");
-    let areas = spec.areas();
     let universe = Universe::new(spec.nprocs, cost);
-    let results = universe.run(|comm| {
-        let proc = &platform.processors[comm.rank()];
-        let area = areas[comm.rank()] as f64;
-        let dgemm = |blk: &ProcBlock, kb| proc.dgemm_time(blk.rows, kb, blk.cols, area);
-        // No faults are injected on simulation runs, so an error here is a
-        // runtime bug: fail loudly rather than report bogus timings.
-        let (phantom, plain) = (PanelPayload::Phantom, PanelCodec::Plain);
-        run_rank_panels(&comm, spec, phantom, &plain, dgemm, None, spec.n)
-            .expect("phantom panel loop failed");
-        (comm.clock_snapshot(), comm.traffic())
-    });
-    let clocks: Vec<_> = results.iter().map(|r| r.0).collect();
-    let traffic: Vec<_> = results.iter().map(|r| r.1).collect();
-    let n = spec.n;
-    crate::simulate::SimReport {
-        n,
-        exec_time: clocks.iter().map(|c| c.now).fold(0.0, f64::max),
-        comp_time: clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max),
-        comm_time: clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max),
-        clocks,
-        traffic,
-        total_flops: 2.0 * (n as f64).powi(3),
-        energy: None,
+    crate::simulate::simulate_schedule(spec, platform, universe, Schedule::PerColumn).0
+}
+
+/// Which grid columns each panel of the loop gathers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Schedule {
+    /// One panel over every grid column: the paper's one-shot algorithm.
+    /// It is traced as the three SummaGen stages, with one `Gemm` span and
+    /// one GEMM metrics record per block.
+    OneShot,
+    /// One panel per grid column: the memory-bounded and checksummed
+    /// executors. Each panel counts one `panel_steps`.
+    PerColumn,
+}
+
+impl Schedule {
+    /// The grid-column range of each panel, in execution order.
+    fn panels(self, spec: &PartitionSpec) -> Vec<Range<usize>> {
+        match self {
+            Schedule::OneShot => std::iter::once(0..spec.grid_cols).collect(),
+            Schedule::PerColumn => (0..spec.grid_cols).map(|t| t..t + 1).collect(),
+        }
     }
 }
 
-/// Where the panel loop's payloads come from, as in
-/// [`crate::stages::StageData`].
+/// The sorted list of processors owning at least one sub-partition in grid
+/// row `bi`.
+fn row_participants(spec: &PartitionSpec, bi: usize) -> Vec<usize> {
+    (0..spec.nprocs)
+        .filter(|&p| spec.row_contains(p, bi))
+        .collect()
+}
+
+/// The sorted list of processors owning at least one sub-partition in grid
+/// column `bj`.
+fn col_participants(spec: &PartitionSpec, bj: usize) -> Vec<usize> {
+    (0..spec.nprocs)
+        .filter(|&p| spec.col_contains(p, bj))
+        .collect()
+}
+
+/// Where the panel loop's payloads come from.
 pub(crate) enum PanelPayload<'a> {
     /// This rank's real `A` and `B` blocks, multiplied with `kernel`.
     Real {
@@ -157,7 +195,8 @@ pub(crate) enum PanelCodec<'a> {
     /// verified on receipt; at each panel boundary the injected
     /// block-corruption hook fires, the accumulators are verified and
     /// corrected, and a checkpoint is written to `store` when
-    /// `opts.checkpoint_interval` says so.
+    /// `opts.checkpoint_interval` says so. Pairs with
+    /// [`Schedule::PerColumn`].
     Checksummed {
         opts: &'a AbftOptions,
         store: &'a CheckpointStore,
@@ -174,18 +213,18 @@ impl PanelCodec<'_> {
     }
 
     /// Wire form of an `A` piece.
-    fn encode_a(&self, piece: DenseMatrix) -> DenseMatrix {
+    fn encode_a<'m>(&self, piece: Cow<'m, DenseMatrix>) -> Cow<'m, DenseMatrix> {
         match self {
             PanelCodec::Plain => piece,
-            PanelCodec::Checksummed { .. } => abft::transit_a(&piece),
+            PanelCodec::Checksummed { .. } => Cow::Owned(abft::transit_a(&piece)),
         }
     }
 
     /// Wire form of a `B` piece.
-    fn encode_b(&self, piece: DenseMatrix) -> DenseMatrix {
+    fn encode_b<'m>(&self, piece: Cow<'m, DenseMatrix>) -> Cow<'m, DenseMatrix> {
         match self {
             PanelCodec::Plain => piece,
-            PanelCodec::Checksummed { .. } => abft::transit_b(&piece),
+            PanelCodec::Checksummed { .. } => Cow::Owned(abft::transit_b(&piece)),
         }
     }
 
@@ -219,7 +258,7 @@ impl PanelCodec<'_> {
         }
     }
 
-    /// Closes panel `t` after its GEMMs.
+    /// Closes the panel ending with grid column `t` after its GEMMs.
     fn on_boundary(
         &self,
         comm: &Communicator,
@@ -250,6 +289,23 @@ pub(crate) struct PanelStats {
     pub panels_executed: u64,
 }
 
+/// A row or column communicator of one panel: its sorted participants,
+/// and the subgroup over them when there is more than one.
+struct Group {
+    participants: Vec<usize>,
+    sub: Option<Communicator>,
+}
+
+impl Group {
+    fn new(comm: &Communicator, participants: Vec<usize>, label: u64) -> Self {
+        let sub = (participants.len() > 1).then(|| {
+            comm.subgroup(&participants, label)
+                .expect("participant missing from its panel communicator")
+        });
+        Self { participants, sub }
+    }
+}
+
 /// One rank's exchange context: its communicator, payload mode and codec,
 /// and the counters verification on receipt updates.
 struct Exchange<'a> {
@@ -259,33 +315,31 @@ struct Exchange<'a> {
     stats: PanelStats,
 }
 
-impl Exchange<'_> {
+impl<'a> Exchange<'a> {
     /// Moves one panel piece of `rows × cols` data elements from `owner`
-    /// to every participant: `own` encodes it locally when the owner is
-    /// the only participant, otherwise the owner broadcasts it over the
-    /// participants' communicator `label` and receivers check it with the
-    /// codec. Returns the piece in wire form (`None` for phantom payloads).
+    /// to every member of `group`: when the owner is the only member,
+    /// `own` yields it locally; otherwise the owner broadcasts `own`'s
+    /// wire form over the group's communicator and receivers check it
+    /// with the codec. Returns the piece in wire form (`None` for phantom
+    /// payloads).
     fn piece(
         &mut self,
-        participants: &[usize],
+        group: &mut Group,
         owner: usize,
-        label: u64,
         (rows, cols): (usize, usize),
         step: usize,
-        own: impl FnOnce(&RankMatrices) -> DenseMatrix,
-    ) -> Result<Option<DenseMatrix>, CommError> {
+        own: impl FnOnce(&'a RankMatrices) -> Cow<'a, DenseMatrix>,
+    ) -> Result<Option<Cow<'a, DenseMatrix>>, CommError> {
         let comm = self.comm;
         let data = match self.payload {
             PanelPayload::Real { data, .. } => Some(data),
             PanelPayload::Phantom => None,
         };
-        if participants.len() == 1 {
+        let Some(sub) = group.sub.as_mut() else {
             return Ok(data.map(own));
-        }
-        let mut sub = comm
-            .subgroup(participants, label)
-            .expect("participant missing from its panel communicator");
-        let root = participants
+        };
+        let root = group
+            .participants
             .iter()
             .position(|&p| p == owner)
             .expect("owner not in its panel communicator");
@@ -304,8 +358,49 @@ impl Exchange<'_> {
             self.codec
                 .on_receipt(comm, &mut wire, step, &mut self.stats)?;
         }
-        Ok(Some(wire))
+        Ok(Some(Cow::Owned(wire)))
     }
+}
+
+/// The `rows × cols` window of `block` at `(i0, j0)`, borrowed when it is
+/// the whole block.
+fn window(
+    block: &DenseMatrix,
+    (i0, j0): (usize, usize),
+    (rows, cols): (usize, usize),
+) -> Cow<'_, DenseMatrix> {
+    if (rows, cols) == (block.rows(), block.cols()) {
+        Cow::Borrowed(block)
+    } else {
+        Cow::Owned(block.submatrix(i0, j0, rows, cols))
+    }
+}
+
+/// Copies the leading `shape.0 × cols` corner of an `A` piece into
+/// columns `[j0, j0 + cols)` of its panel, allocating a zeroed `shape`
+/// panel on first use. A piece that is exactly the whole panel becomes
+/// the panel, copied only when it is borrowed.
+fn place(
+    panel: &mut Option<DenseMatrix>,
+    shape: (usize, usize),
+    piece: Cow<'_, DenseMatrix>,
+    j0: usize,
+    cols: usize,
+) {
+    if panel.is_none() && cols == shape.1 && (piece.rows(), piece.cols()) == shape {
+        *panel = Some(piece.into_owned());
+        return;
+    }
+    let dst = panel.get_or_insert_with(|| DenseMatrix::zeros(shape.0, shape.1));
+    let ld = dst.cols();
+    copy_block(
+        &mut dst.as_mut_slice()[j0..],
+        ld,
+        piece.as_slice(),
+        piece.cols(),
+        shape.0,
+        cols,
+    );
 }
 
 /// The leading `rows × cols` corner of `m`, without a copy when that is
@@ -318,27 +413,54 @@ fn leading(m: DenseMatrix, rows: usize, cols: usize) -> DenseMatrix {
     }
 }
 
-/// The per-rank panel loop behind every panelled entry point.
+/// Observes block GEMMs: keeps the latest kernel wall time for the
+/// trace's `Gemm` span and feeds a metrics bundle's wall-clock GEMM
+/// histograms.
+struct KernelProbe<'a> {
+    ns: Cell<u64>,
+    telemetry: Option<&'a GemmTelemetry>,
+}
+
+impl GemmObserver for KernelProbe<'_> {
+    fn on_gemm(&self, m: usize, n: usize, k: usize, elapsed_ns: u64) {
+        self.ns.set(elapsed_ns);
+        if let Some(t) = self.telemetry {
+            t.on_gemm(m, n, k, elapsed_ns);
+        }
+    }
+}
+
+/// Emits a `stage` span from `start` (if tracing) to now.
+fn end_stage(comm: &Communicator, start: Option<f64>, stage: StageLabel) {
+    if let Some(t0) = start {
+        comm.emit(t0, comm.now(), SpanKind::Stage { stage });
+    }
+}
+
+/// The per-rank panel loop behind every SummaGen entry point.
 ///
-/// Panel `t` covers the k-range of grid *column* `t` of `A`. Because the
-/// grid's row cuts (which partition `B`'s k-dimension) need not align
-/// with its column cuts, the matching `B` rows are gathered as *slices*
-/// of the overlapping `B` blocks — same total bytes, panel-sized staging.
+/// The loop executes the k-range `[resume.k, stop_k)` of `schedule`: the
+/// accumulators start from the `resume` prefix (zero without one),
+/// panels wholly below it are skipped and the first overlapping panel
+/// executes partially; panels starting at or past `stop_k` are not
+/// executed. Plain callers pass `None` and `n`. After each block GEMM
+/// the virtual clock advances by `block_cost(block, kb)` seconds for a
+/// `kb`-deep panel.
 ///
-/// The loop executes the k-range `[resume.k, stop_k)`: the accumulators
-/// start from the `resume` prefix (zero without one), panels wholly below
-/// it are skipped and the first overlapping panel executes partially;
-/// panels starting at or past `stop_k` are not executed. Plain callers
-/// pass `None` and `n`. After each block GEMM the virtual clock advances
-/// by `block_cost(block, kb)` seconds for a `kb`-deep panel.
+/// Observability follows the schedule: [`Schedule::OneShot`] emits the
+/// `HorizontalA`/`VerticalB`/`LocalCompute` stage spans, a `Gemm` span
+/// per block (with the kernel's wall time) and the GEMM virtual and
+/// wall metrics; [`Schedule::PerColumn`] counts `panel_steps`.
 ///
 /// Returns the owned `C` blocks (none for phantom payloads) and the
 /// loop's counters.
-pub(crate) fn run_rank_panels(
-    comm: &Communicator,
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_rank_panels<'a>(
+    comm: &'a Communicator,
     spec: &PartitionSpec,
-    payload: PanelPayload<'_>,
-    codec: &PanelCodec<'_>,
+    schedule: Schedule,
+    payload: PanelPayload<'a>,
+    codec: &'a PanelCodec<'a>,
     block_cost: impl Fn(&ProcBlock, usize) -> f64,
     resume: Option<&PanelCheckpoint>,
     stop_k: usize,
@@ -353,33 +475,41 @@ pub(crate) fn run_rank_panels(
     let resume_k = resume.map_or(0, |r| r.k);
 
     // Accumulators (real payloads only): the data region plus the
-    // codec's checksum row and column.
-    let mut acc: RankBlocks = match kernel {
-        None => Vec::new(),
-        Some(_) => blocks
-            .iter()
-            .map(|&blk| {
-                let mut m = DenseMatrix::zeros(blk.rows + pad, blk.cols + pad);
-                if let Some(r) = resume {
-                    m.set_submatrix(0, 0, &r.c.submatrix(blk.row, blk.col, blk.rows, blk.cols));
-                }
-                (blk, m)
-            })
-            .collect(),
+    // codec's checksum row and column. A resumed run loads them from the
+    // prefix up front; otherwise each one is allocated at its block's
+    // first GEMM, when the gathers' receive buffers are free for reuse.
+    let fresh = |blk: &ProcBlock| {
+        let mut m = DenseMatrix::zeros(blk.rows + pad, blk.cols + pad);
+        if let Some(r) = resume {
+            m.set_submatrix(0, 0, &r.c.submatrix(blk.row, blk.col, blk.rows, blk.cols));
+        }
+        (*blk, m)
     };
+    let mut acc: RankBlocks = Vec::new();
     if resume_k > 0 {
+        if kernel.is_some() {
+            acc = blocks.iter().map(fresh).collect();
+        }
         codec.on_resume(comm, spec, &mut acc, resume_k);
     }
 
+    let one_shot = schedule == Schedule::OneShot;
+    let tracing = one_shot && comm.tracing_enabled();
+    let metrics = comm.metrics();
+    let telemetry = metrics.filter(|_| one_shot).map(|m| &m.gemm);
+    let observing = tracing || telemetry.is_some();
+    let probe = KernelProbe {
+        ns: Cell::new(0),
+        telemetry,
+    };
     let mut ex = Exchange {
         comm,
         payload,
         codec,
         stats: PanelStats::default(),
     };
-    for t in 0..spec.grid_cols {
-        let k0 = spec.col_offset(t);
-        let k1 = k0 + spec.widths[t];
+    for (p, cols) in schedule.panels(spec).into_iter().enumerate() {
+        let (k0, k1) = (spec.col_offset(cols.start), spec.col_offset(cols.end));
         if k0 >= stop_k {
             break; // preemption horizon reached: a clean k-prefix stop
         }
@@ -388,72 +518,92 @@ pub(crate) fn run_rank_panels(
             continue; // panel fully covered by the resume prefix
         }
         if ex.stats.panels_executed == 0 {
-            ex.stats.first_panel = t as u64;
+            ex.stats.first_panel = p as u64;
         }
         ex.stats.panels_executed += 1;
-        if let Some(m) = comm.metrics() {
+        if let Some(m) = metrics.filter(|_| !one_shot) {
             m.panel_steps.inc();
         }
         let kb = k1 - lo;
 
-        // --- Gather the A blocks (bi, t), column-sliced to [lo, k1).
+        // --- Gather the A blocks (bi, t) of the panel's columns,
+        // column-sliced to [lo, k1): bi outer, t inner, over one row
+        // communicator per (panel, grid row).
+        let stage = tracing.then(|| comm.now());
         let mut a_panel: Vec<Option<DenseMatrix>> = vec![None; spec.grid_rows];
         for (bi, slot) in a_panel.iter_mut().enumerate() {
             if !spec.row_contains(rank, bi) {
                 continue;
             }
             let h = spec.heights[bi];
-            let label = PANEL_ROW_LABEL_BASE + (t * spec.grid_rows + bi) as u64;
-            let own = |data: &RankMatrices| {
-                let block = data.a_block(bi, t).expect("missing own A block");
-                codec.encode_a(block.submatrix(0, lo - k0, h, kb))
-            };
-            let participants = row_participants(spec, bi);
-            let wire = ex.piece(&participants, spec.owner(bi, t), label, (h, kb), t, own)?;
-            // Keep the data rows and any product checksum row; a transit
-            // checksum column has done its job.
-            *slot = wire.map(|w| leading(w, h + pad, kb));
+            let label = PANEL_ROW_LABEL_BASE + (p * spec.grid_rows + bi) as u64;
+            let mut group = Group::new(comm, row_participants(spec, bi), label);
+            for t in cols.clone() {
+                let c0 = spec.col_offset(t);
+                let (slo, shi) = (c0.max(lo), c0 + spec.widths[t]);
+                if slo >= shi {
+                    continue; // column wholly inside the resume prefix
+                }
+                let w = shi - slo;
+                let wire = ex.piece(&mut group, spec.owner(bi, t), (h, w), p, |data| {
+                    let block = data.a_block(bi, t).expect("missing own A block");
+                    codec.encode_a(window(block, (0, slo - c0), (h, w)))
+                })?;
+                // Keep the data rows and any product checksum row; a
+                // transit checksum column has done its job.
+                if let Some(wire) = wire {
+                    place(slot, (h + pad, kb), wire, slo - lo, w);
+                }
+            }
         }
+        end_stage(comm, stage, StageLabel::HorizontalA);
 
-        // --- Gather the B rows [lo, k1) for columns this rank occupies.
+        // --- Gather the B rows [lo, k1) for columns this rank occupies,
+        // over one column communicator per (panel, grid column).
+        let stage = tracing.then(|| comm.now());
         let mut b_panel: Vec<Option<DenseMatrix>> = vec![None; spec.grid_cols];
         for (bj, slot) in b_panel.iter_mut().enumerate() {
             if !spec.col_contains(rank, bj) {
                 continue;
             }
             let w = spec.widths[bj];
-            let participants = col_participants(spec, bj);
-            let mut panel = kernel.map(|_| DenseMatrix::zeros(kb, w + pad));
-            for bi_b in 0..spec.grid_rows {
-                let r0 = spec.row_offset(bi_b);
-                let (slo, shi) = (r0.max(lo), (r0 + spec.heights[bi_b]).min(k1));
+            let label = PANEL_COL_LABEL_BASE + (p * spec.grid_cols + bj) as u64;
+            let mut group = Group::new(comm, col_participants(spec, bj), label);
+            // The pieces arrive in ascending k order and span the panel's
+            // full width, so each is appended with one copy, no zero fill.
+            let mut stack = kernel.map(|_| Vec::with_capacity(kb * (w + pad)));
+            for bi in 0..spec.grid_rows {
+                let r0 = spec.row_offset(bi);
+                let (slo, shi) = (r0.max(lo), (r0 + spec.heights[bi]).min(k1));
                 if slo >= shi {
                     continue; // block does not overlap this panel
                 }
-                let rows = shi - slo;
-                let label = PANEL_COL_LABEL_BASE
-                    + ((t * spec.grid_rows + bi_b) * spec.grid_cols + bj) as u64;
-                let own = |data: &RankMatrices| {
-                    let block = data.b_block(bi_b, bj).expect("missing own B block");
-                    codec.encode_b(block.submatrix(slo - r0, 0, rows, w))
-                };
-                let owner = spec.owner(bi_b, bj);
-                let wire = ex.piece(&participants, owner, label, (rows, w), t, own)?;
+                let h = shi - slo;
+                let wire = ex.piece(&mut group, spec.owner(bi, bj), (h, w), p, |data| {
+                    let block = data.b_block(bi, bj).expect("missing own B block");
+                    codec.encode_b(window(block, (slo - r0, 0), (h, w)))
+                })?;
                 // Keep the data columns and any product checksum column; a
                 // transit checksum row has done its job.
-                if let (Some(panel), Some(wire)) = (panel.as_mut(), wire) {
-                    panel.set_submatrix(slo - lo, 0, &leading(wire, rows, w + pad));
+                if let (Some(stack), Some(wire)) = (stack.as_mut(), wire) {
+                    stack.extend_from_slice(&wire.as_slice()[..h * (w + pad)]);
                 }
             }
-            *slot = panel;
+            *slot = stack.map(|s| DenseMatrix::from_vec(kb, w + pad, s));
         }
+        end_stage(comm, stage, StageLabel::VerticalB);
 
-        // --- Accumulate C(bi, bj) += A(bi, t) · B(t, bj) for every owned
-        // block. Checksum rows and columns widen the GEMM without
-        // perturbing data elements: each one sees the same k-order as
-        // the plain codec's GEMM.
+        // --- Accumulate C(bi, bj) += A(bi, panel) · B(panel, bj) for
+        // every owned block. Checksum rows and columns widen the GEMM
+        // without perturbing data elements: each one sees the same
+        // k-order as the plain codec's GEMM.
+        let stage = tracing.then(|| comm.now());
         for (i, blk) in blocks.iter().enumerate() {
-            if let (Some(kernel), Some((_, c))) = (kernel, acc.get_mut(i)) {
+            probe.ns.set(0);
+            if let Some(kernel) = kernel {
+                if acc.len() == i {
+                    acc.push(fresh(blk));
+                }
                 let ap = a_panel[blk.block_i]
                     .as_ref()
                     .expect("A panel block missing for owned row");
@@ -463,14 +613,36 @@ pub(crate) fn run_rank_panels(
                 debug_assert_eq!(ap.cols(), bp.rows());
                 let (m, nc) = (blk.rows + pad, blk.cols + pad);
                 let (a, b) = (ap.as_slice(), bp.as_slice());
-                kernel.run(m, nc, kb, 1.0, a, kb, b, nc, 1.0, c.as_mut_slice(), nc);
+                let observer = observing.then_some(&probe as &dyn GemmObserver);
+                let c = acc[i].1.as_mut_slice();
+                kernel.run_observed(m, nc, kb, 1.0, a, kb, b, nc, 1.0, c, nc, observer);
             }
-            let seconds = block_cost(blk, kb);
-            if seconds > 0.0 {
-                comm.advance_compute(seconds);
+            let gemm_start = observing.then(|| comm.now());
+            comm.advance_compute(block_cost(blk, kb));
+            if let Some(t0) = gemm_start {
+                let t1 = comm.now();
+                let flops = 2.0 * blk.rows as f64 * blk.cols as f64 * kb as f64;
+                if tracing {
+                    let (m, n, k, kernel_ns) = (blk.rows, blk.cols, kb, probe.ns.get());
+                    comm.emit(
+                        t0,
+                        t1,
+                        SpanKind::Gemm {
+                            m,
+                            n,
+                            k,
+                            flops,
+                            kernel_ns,
+                        },
+                    );
+                }
+                if let Some(g) = telemetry {
+                    g.record_virtual(flops, t1 - t0);
+                }
             }
         }
-        codec.on_boundary(comm, spec, &mut acc, t, &mut ex.stats)?;
+        end_stage(comm, stage, StageLabel::LocalCompute);
+        codec.on_boundary(comm, spec, &mut acc, cols.end - 1, &mut ex.stats)?;
     }
 
     // Strip any checksums; the data region is returned bit-for-bit.
@@ -485,7 +657,7 @@ pub(crate) fn run_rank_panels(
 mod tests {
     use super::*;
     use crate::executor::{multiply, ExecutionMode};
-    use summagen_matrix::{approx_eq, gemm_tolerance, random_matrix};
+    use summagen_matrix::{approx_eq, random_matrix};
     use summagen_partition::{proportional_areas, ALL_FOUR_SHAPES};
 
     #[test]
@@ -496,14 +668,52 @@ mod tests {
         let b = random_matrix(n, n, 2);
         for shape in ALL_FOUR_SHAPES {
             let spec = shape.build(n, &areas);
-            let one_shot = multiply(&spec, &a, &b, ExecutionMode::Real);
+            let mode = ExecutionMode::RealWith(GemmKernel::Blocked);
+            let one_shot = multiply(&spec, &a, &b, mode);
             let panelled = multiply_panelled(&spec, &a, &b, GemmKernel::Blocked);
-            assert!(
-                approx_eq(&one_shot.c, &panelled.c, gemm_tolerance(n) * 100.0),
-                "{} differs",
-                shape.name()
-            );
+            // One loop under both schedules, and a kernel whose k-order
+            // does not depend on the k-split: bit-identical.
+            let same = one_shot
+                .c
+                .as_slice()
+                .iter()
+                .zip(panelled.c.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "{} differs", shape.name());
         }
+    }
+
+    fn fig1a() -> PartitionSpec {
+        PartitionSpec::new(
+            vec![0, 1, 1, 1, 1, 1, 1, 1, 2],
+            vec![9, 3, 4],
+            vec![9, 3, 4],
+            3,
+        )
+    }
+
+    #[test]
+    fn participants_for_fig1a() {
+        let s = fig1a();
+        assert_eq!(row_participants(&s, 0), vec![0, 1]);
+        assert_eq!(row_participants(&s, 1), vec![1]);
+        assert_eq!(row_participants(&s, 2), vec![1, 2]);
+        assert_eq!(col_participants(&s, 0), vec![0, 1]);
+        assert_eq!(col_participants(&s, 2), vec![1, 2]);
+    }
+
+    #[test]
+    fn workspace_sizes_match_participation() {
+        let s = fig1a();
+        // Rank 0 participates in grid row 0 (9 rows) and column 0 (9
+        // cols): 9 x 16 of A and 16 x 9 of B one-shot, 9 deep panelled
+        // (the widest grid column).
+        assert_eq!(workspace_elems(&s, 0), (9 * 16 + 16 * 9, 9 * 9 + 9 * 9));
+        // Rank 1 participates everywhere.
+        assert_eq!(workspace_elems(&s, 1), (16 * 16 + 16 * 16, 16 * 9 + 9 * 16));
+        // Rank 2: row 2 (4 rows), column 2 (4 cols).
+        assert_eq!(workspace_elems(&s, 2), (4 * 16 + 16 * 4, 4 * 9 + 9 * 4));
+        assert_eq!(peak_workspace_elems(&s), (16 * 16 * 2, 16 * 9 * 2));
     }
 
     #[test]

@@ -10,12 +10,12 @@
 
 use std::sync::Arc;
 
-use summagen_comm::{ClockSnapshot, CostModel, EventSink, TrafficStats, Universe};
-use summagen_partition::PartitionSpec;
+use summagen_comm::{ClockSnapshot, CostModel, EventSink, TraceEvent, TrafficStats, Universe};
+use summagen_partition::{PartitionSpec, ProcBlock};
 use summagen_platform::energy::{EnergyMeter, MeterReading, PowerModel};
 use summagen_platform::Platform;
 
-use crate::stages::{horizontal_a, local_compute, vertical_b, StageData};
+use crate::panelled::{run_rank_panels, PanelCodec, PanelPayload, Schedule};
 
 /// The outcome of a simulated-time run.
 #[derive(Debug, Clone)]
@@ -113,13 +113,6 @@ pub fn simulate_observed_on(
     metrics: Option<Arc<summagen_comm::RuntimeMetrics>>,
     backend: summagen_comm::Backend,
 ) -> SimReport {
-    assert!(
-        platform.len() >= spec.nprocs,
-        "platform has {} processors, spec wants {}",
-        platform.len(),
-        spec.nprocs
-    );
-    let areas = spec.areas();
     let mut universe = Universe::new(spec.nprocs, cost).with_backend(backend);
     if let Some(sink) = sink {
         universe = universe.with_event_sink(sink);
@@ -127,34 +120,7 @@ pub fn simulate_observed_on(
     if let Some(metrics) = metrics {
         universe = universe.with_metrics(metrics);
     }
-    let results = universe.run(|comm| {
-        let rank = comm.rank();
-        let mut state = StageData::Phantom;
-        // No faults are injected on simulation runs, so a stage error here
-        // is a runtime bug: fail loudly rather than report bogus timings.
-        horizontal_a(&comm, spec, rank, &mut state).expect("horizontal A stage failed");
-        vertical_b(&comm, spec, rank, &mut state).expect("vertical B stage failed");
-        let proc = &platform.processors[rank];
-        let area = areas[rank] as f64;
-        let (_, flops) = local_compute(&comm, spec, rank, &mut state, |blk| {
-            proc.dgemm_time(blk.rows, spec.n, blk.cols, area)
-        });
-        (comm.clock_snapshot(), comm.traffic(), flops)
-    });
-
-    let clocks: Vec<ClockSnapshot> = results.iter().map(|r| r.0).collect();
-    let traffic: Vec<TrafficStats> = results.iter().map(|r| r.1).collect();
-    let n = spec.n;
-    SimReport {
-        n,
-        exec_time: clocks.iter().map(|c| c.now).fold(0.0, f64::max),
-        comp_time: clocks.iter().map(|c| c.comp_time).fold(0.0, f64::max),
-        comm_time: clocks.iter().map(|c| c.comm_time).fold(0.0, f64::max),
-        clocks,
-        traffic,
-        total_flops: 2.0 * (n as f64).powi(3),
-        energy: None,
-    }
+    simulate_schedule(spec, platform, universe, Schedule::OneShot).0
 }
 
 /// Like [`simulate`], additionally recording per-rank event timelines
@@ -164,7 +130,26 @@ pub fn simulate_traced(
     spec: &PartitionSpec,
     platform: &Platform,
     cost: impl CostModel,
-) -> (SimReport, Vec<Vec<summagen_comm::TraceEvent>>) {
+) -> (SimReport, Vec<Vec<TraceEvent>>) {
+    let universe = Universe::new(spec.nprocs, cost).traced(true);
+    simulate_schedule(spec, platform, universe, Schedule::OneShot)
+}
+
+/// The phantom-payload run behind every `simulate*` entry point: the
+/// panel loop executes `schedule` on `universe` with size-only payloads,
+/// and each block GEMM advances rank `i`'s clock by the device-model time
+/// of `platform.processors[i]` at the rank's total partition area. Returns
+/// the report and each rank's recorded timeline (empty unless the
+/// universe records timelines).
+///
+/// # Panics
+/// Panics if the platform has fewer processors than the spec.
+pub(crate) fn simulate_schedule(
+    spec: &PartitionSpec,
+    platform: &Platform,
+    universe: Universe,
+    schedule: Schedule,
+) -> (SimReport, Vec<Vec<TraceEvent>>) {
     assert!(
         platform.len() >= spec.nprocs,
         "platform has {} processors, spec wants {}",
@@ -172,27 +157,27 @@ pub fn simulate_traced(
         spec.nprocs
     );
     let areas = spec.areas();
-    let universe = Universe::new(spec.nprocs, cost).traced(true);
     let results = universe.run(|comm| {
-        let rank = comm.rank();
-        let mut state = StageData::Phantom;
-        horizontal_a(&comm, spec, rank, &mut state).expect("horizontal A stage failed");
-        vertical_b(&comm, spec, rank, &mut state).expect("vertical B stage failed");
-        let proc = &platform.processors[rank];
-        let area = areas[rank] as f64;
-        local_compute(&comm, spec, rank, &mut state, |blk| {
-            proc.dgemm_time(blk.rows, spec.n, blk.cols, area)
-        });
-        (
-            comm.clock_snapshot(),
-            comm.traffic(),
-            comm.trace_snapshot().expect("tracing enabled"),
-        )
+        let proc = &platform.processors[comm.rank()];
+        let area = areas[comm.rank()] as f64;
+        let dgemm = |blk: &ProcBlock, kb| proc.dgemm_time(blk.rows, kb, blk.cols, area);
+        let (phantom, plain) = (PanelPayload::Phantom, PanelCodec::Plain);
+        // No faults are injected on simulation runs, so an error here is a
+        // runtime bug: fail loudly rather than report bogus timings.
+        run_rank_panels(&comm, spec, schedule, phantom, &plain, dgemm, None, spec.n)
+            .expect("phantom panel loop failed");
+        let timeline = comm.trace_snapshot().unwrap_or_default();
+        (comm.clock_snapshot(), comm.traffic(), timeline)
     });
 
-    let clocks: Vec<ClockSnapshot> = results.iter().map(|r| r.0).collect();
-    let traffic: Vec<TrafficStats> = results.iter().map(|r| r.1).collect();
-    let timelines: Vec<Vec<summagen_comm::TraceEvent>> = results.into_iter().map(|r| r.2).collect();
+    let mut clocks = Vec::with_capacity(spec.nprocs);
+    let mut traffic = Vec::with_capacity(spec.nprocs);
+    let mut timelines = Vec::with_capacity(spec.nprocs);
+    for (c, t, tl) in results {
+        clocks.push(c);
+        traffic.push(t);
+        timelines.push(tl);
+    }
     let n = spec.n;
     let report = SimReport {
         n,
@@ -211,7 +196,7 @@ pub fn simulate_traced(
 /// *actual* per-rank timelines (idle gaps and all), rather than the
 /// busy-first approximation of [`simulate_with_energy`].
 pub fn metered_energy_from_timelines(
-    timelines: &[Vec<summagen_comm::TraceEvent>],
+    timelines: &[Vec<TraceEvent>],
     power: &PowerModel,
     exec_time: f64,
 ) -> summagen_platform::energy::MeterReading {

@@ -11,12 +11,7 @@
 //! broadcasts — comparing the two on the same virtual platform is the
 //! baseline ablation in `benches/ablations.rs` and `reproduce summa`.
 
-use std::sync::Arc;
-
-use summagen_comm::{
-    ClockSnapshot, CostModel, EventSink, HockneyModel, SpanKind, StageLabel, TrafficStats,
-    Universe, ZeroCost,
-};
+use summagen_comm::{ClockSnapshot, CostModel, HockneyModel, TrafficStats, Universe, ZeroCost};
 use summagen_matrix::{gemm_blocked, DenseMatrix};
 use summagen_platform::Platform;
 
@@ -188,44 +183,12 @@ pub fn summa_simulate(
     platform: &Platform,
     hockney: HockneyModel,
 ) -> (f64, Vec<ClockSnapshot>) {
-    summa_simulate_with_sink(n, pr, pc, nb, platform, hockney, None)
-}
-
-/// Like [`summa_simulate`], additionally reporting every runtime event to
-/// `sink`, with one `summa-panel` stage span per panel-loop iteration —
-/// the pipelined schedule becomes directly comparable to SummaGen's
-/// three-stage traces in Perfetto.
-pub fn summa_simulate_instrumented(
-    n: usize,
-    pr: usize,
-    pc: usize,
-    nb: usize,
-    platform: &Platform,
-    hockney: HockneyModel,
-    sink: Arc<dyn EventSink>,
-) -> (f64, Vec<ClockSnapshot>) {
-    summa_simulate_with_sink(n, pr, pc, nb, platform, hockney, Some(sink))
-}
-
-fn summa_simulate_with_sink(
-    n: usize,
-    pr: usize,
-    pc: usize,
-    nb: usize,
-    platform: &Platform,
-    hockney: HockneyModel,
-    sink: Option<Arc<dyn EventSink>>,
-) -> (f64, Vec<ClockSnapshot>) {
     let p = pr * pc;
     assert!(platform.len() >= p, "platform too small for the grid");
     assert!(n >= pr && n >= pc && nb >= 1, "bad geometry");
     let rows = offsets(n, pr);
     let cols = offsets(n, pc);
-    let mut universe = Universe::new(p, hockney);
-    if let Some(sink) = sink {
-        universe = universe.with_event_sink(sink);
-    }
-    let clocks = universe.run(|comm| {
+    let clocks = Universe::new(p, hockney).run(|comm| {
         let rank = comm.rank();
         let (pi, pj) = (rank / pc, rank % pc);
         let (mr, mc) = (rows[pi + 1] - rows[pi], cols[pj + 1] - cols[pj]);
@@ -235,43 +198,15 @@ fn summa_simulate_with_sink(
         let mut col_comm = comm.subgroup(&col_members, 2_000 + pj as u64).unwrap();
         let proc = &platform.processors[rank];
         let area = (mr * mc) as f64;
-        let tracing = comm.tracing_enabled();
 
         let mut k0 = 0;
         while k0 < n {
-            if let Some(m) = comm.metrics() {
-                m.panel_steps.inc();
-            }
-            let panel_start = tracing.then(|| comm.now());
             let jk = cols.partition_point(|&c| c <= k0) - 1;
             let ik = rows.partition_point(|&r| r <= k0) - 1;
             let kb = nb.min(cols[jk + 1] - k0).min(rows[ik + 1] - k0).min(n - k0);
             row_comm.bcast(jk, summagen_comm::Payload::Phantom { elems: mr * kb });
             col_comm.bcast(ik, summagen_comm::Payload::Phantom { elems: kb * mc });
-            let gemm_start = tracing.then(|| comm.now());
             comm.advance_compute(proc.dgemm_time(mr, kb, mc, area));
-            if let Some(t0) = gemm_start {
-                comm.emit(
-                    t0,
-                    comm.now(),
-                    SpanKind::Gemm {
-                        m: mr,
-                        n: mc,
-                        k: kb,
-                        flops: 2.0 * mr as f64 * mc as f64 * kb as f64,
-                        kernel_ns: 0,
-                    },
-                );
-            }
-            if let Some(t0) = panel_start {
-                comm.emit(
-                    t0,
-                    comm.now(),
-                    SpanKind::Stage {
-                        stage: StageLabel::SummaPanel,
-                    },
-                );
-            }
             k0 += kb;
         }
         comm.clock_snapshot()

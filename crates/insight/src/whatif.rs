@@ -1,7 +1,7 @@
 //! Ranked what-if opportunities and sensitivity curves over a recorded
 //! trace.
 //!
-//! [`summagen_trace::replay`] answers one counterfactual at a time; this
+//! [`summagen_trace::replay()`] answers one counterfactual at a time; this
 //! module asks the standard portfolio — communication free, ABFT free,
 //! each device's GEMMs 2× faster, each observed link free — and ranks
 //! the answers by makespan reduction ([`rank_opportunities`]). A ranked

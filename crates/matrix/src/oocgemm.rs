@@ -1,6 +1,6 @@
 //! An actual out-of-core DGEMM with bounded workspace — the structural
 //! analogue of the paper's ZZGemmOOC / XeonPhiOOC packages
-//! (reference [27]).
+//! (reference \[27\]).
 //!
 //! The "device" can only hold `workspace_elems` f64 values at once. The
 //! multiply proceeds tile-by-tile: a `t × t` tile of `C` stays resident

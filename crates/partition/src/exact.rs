@@ -1,5 +1,5 @@
 //! Exact optimization over the candidate shape families — the "exact
-//! algorithm" of Beaumont et al. (reference [12] of the paper), used
+//! algorithm" of Beaumont et al. (reference \[12\] of the paper), used
 //! there to analyze how close the best approximate solutions come to the
 //! true optimum for three partitions.
 //!
@@ -12,7 +12,7 @@
 //! Section V constructions can be measured.
 //!
 //! Complexity is `O(n²)` candidates per two-parameter family, so this is
-//! meant for moderate `n` (the analysis scale of [12]), not for
+//! meant for moderate `n` (the analysis scale of \[12\]), not for
 //! production partitioning.
 
 use summagen_platform::speed::SpeedFunction;

@@ -1,5 +1,5 @@
 //! Two-dimensional functional performance models and the FPM-KL
-//! partitioner (Lastovetsky & Reddy, reference [4] of the paper).
+//! partitioner (Lastovetsky & Reddy, reference \[4\] of the paper).
 //!
 //! Where the 1D FPMs of [`crate::distribution`] map a partition *area* to
 //! a speed, a 2D FPM maps the partition's *shape* `(h, w)` to a speed —
